@@ -11,7 +11,7 @@ command-line interface.
 
 from .autodiff import Tape, Tensor, backward
 from .datasets import TaskDataset, load_dataset, make_dataset, save_dataset
-from .encoding import EncodingConfig, encode_batch, walk_feature_matrix
+from .encoding import encode_batch, walk_feature_matrix
 from .errors import NeuralWalkerError
 from .graphs import (Graph, build_graph, complete_graph, cycle_graph,
                      disjoint_union, erdos_renyi_graph, is_connected,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Tape", "Tensor", "backward",
     "TaskDataset", "load_dataset", "make_dataset", "save_dataset",
-    "EncodingConfig", "encode_batch", "walk_feature_matrix",
+    "encode_batch", "walk_feature_matrix",
     "NeuralWalkerError",
     "Graph", "build_graph", "complete_graph", "cycle_graph", "disjoint_union",
     "erdos_renyi_graph", "is_connected", "load_graph", "loads_graph",

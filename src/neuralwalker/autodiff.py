@@ -10,6 +10,9 @@ and record nothing.
 Broadcasting is deliberately narrow: elementwise ops accept equal shapes, a
 python scalar, or one operand whose shape is a trailing suffix of the other's
 (the bias case). Anything else needs an explicit :func:`expand` / ``reshape``.
+
+Every row scatter -- :func:`segment_mean`, :func:`scatter_add` and the VJP of
+:func:`gather_rows` -- goes through one primitive, :func:`_segment_sum`.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.special import erf as _erf
 
 from .errors import ShapeError
@@ -35,7 +39,7 @@ __all__ = [
     "relu", "gelu", "sigmoid", "tanh", "exp", "log", "softplus", "silu",
     "softmax", "log_softmax", "reduce_sum", "reduce_mean",
     "layernorm", "conv1d_depthwise", "segment_mean", "scatter_add",
-    "gather_rows", "associative_scan", "associative_scan_parallel", "zoh_phi",
+    "gather_rows", "associative_scan", "zoh_phi",
 ]
 
 
@@ -44,16 +48,13 @@ __all__ = [
 # =============================================================================
 
 class Tensor:
-    """A numpy array plus gradient metadata. Data is float64 unless the caller
-    deliberately supplies float32 (the forward-only fast path)."""
+    """A float64 numpy array plus gradient metadata. Float64 input is kept
+    without a copy; anything else is converted."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float64, np.float32):
-            arr = arr.astype(np.float64)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
@@ -535,23 +536,50 @@ def conv1d_depthwise(a, kernel) -> Tensor:
     return _emit("conv1d", out, (a, kernel), vjp)
 
 
+def _segment_sum(x: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
+    """Row scatter: ``out[k]`` is the sum of the rows ``x[i]`` with ``ids[i] == k``.
+
+    The package's only scatter, shared by :func:`segment_mean`,
+    :func:`scatter_add` and the VJP of :func:`gather_rows`. It is a product
+    with a 0/1 CSR matrix whose row ``k`` lists the positions of id ``k`` in
+    ascending order (a stable argsort), so each output row adds its inputs one
+    at a time in input order, starting from zero. The sums are therefore the
+    same, bit for bit, as a sequential row-by-row accumulation.
+    """
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=n), out=indptr[1:])
+    order = np.argsort(ids, kind="stable")
+    incidence = csr_array((np.ones(ids.size), order, indptr), shape=(n, x.shape[0]))
+    return incidence @ x
+
+
+def _row_ids(op: str, x: np.ndarray, ids, n_out: int | None = None) -> np.ndarray:
+    """Check that ``x`` is (N, D) and return the integer ``ids`` as int64.
+
+    Scatters pass ``n_out``: one id per row of ``x``, each in [0, n_out).
+    Gathers pass none: ids of any shape, each in [0, N).
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if x.ndim != 2 or (n_out is not None and ids.shape != (x.shape[0],)):
+        want = "a (N, D) table" if n_out is None else "(N, D) values and (N,) ids"
+        raise ShapeError(f"{op} needs {want}, got {x.shape}, {ids.shape}")
+    n = x.shape[0] if n_out is None else n_out
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ShapeError(f"{op}: index out of range [0, {n})")
+    return ids
+
+
 def segment_mean(values, segment_ids: np.ndarray, n_segments: int) -> Tensor:
     """Mean of value rows per segment id; empty segments are zero.
 
     ``values``: (N, D); ``segment_ids``: (N,) ints in [0, n_segments).
     """
     values = as_tensor(values)
-    ids = np.asarray(segment_ids, dtype=np.int64)
     x = values.data
-    if x.ndim != 2 or ids.shape != (x.shape[0],):
-        raise ShapeError(f"segment_mean needs (N, D) values and (N,) ids, got {x.shape}, {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= n_segments):
-        raise ShapeError("segment id out of range")
+    ids = _row_ids("segment_mean", x, segment_ids, n_segments)
     counts = np.bincount(ids, minlength=n_segments).astype(x.dtype)
-    sums = np.zeros((n_segments, x.shape[1]), dtype=x.dtype)
-    np.add.at(sums, ids, x)
     denom = np.maximum(counts, 1.0)[:, None]
-    out = sums / denom
+    out = _segment_sum(x, ids, n_segments) / denom
 
     def vjp(g):
         return (g[ids] / denom[ids],)
@@ -561,37 +589,24 @@ def segment_mean(values, segment_ids: np.ndarray, n_segments: int) -> Tensor:
 def scatter_add(values, segment_ids: np.ndarray, n_rows: int) -> Tensor:
     """Sum of value rows per segment id: (N, D) + ids -> (n_rows, D)."""
     values = as_tensor(values)
-    ids = np.asarray(segment_ids, dtype=np.int64)
     x = values.data
-    if x.ndim != 2 or ids.shape != (x.shape[0],):
-        raise ShapeError(f"scatter_add needs (N, D) values and (N,) ids, got {x.shape}, {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
-        raise ShapeError("segment id out of range")
-    out = np.zeros((n_rows, x.shape[1]), dtype=x.dtype)
-    np.add.at(out, ids, x)
+    ids = _row_ids("scatter_add", x, segment_ids, n_rows)
 
     def vjp(g):
         return (g[ids],)
-    return _emit("scatter_add", out, (values,), vjp)
+    return _emit("scatter_add", _segment_sum(x, ids, n_rows), (values,), vjp)
 
 
 def gather_rows(a, index: np.ndarray) -> Tensor:
     """Row lookup: ``a`` (N, D), integer ``index`` of any shape ->
     output of shape ``index.shape + (D,)``."""
     a = as_tensor(a)
-    idx = np.asarray(index, dtype=np.int64)
     x = a.data
-    if x.ndim != 2:
-        raise ShapeError(f"gather_rows needs a (N, D) table, got {x.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise ShapeError("gather index out of range")
-    out = x[idx]
+    idx = _row_ids("gather_rows", x, index)
 
     def vjp(g):
-        buf = np.zeros_like(x)
-        np.add.at(buf, idx.ravel(), g.reshape(-1, x.shape[1]))
-        return (buf,)
-    return _emit("gather_rows", out, (a,), vjp)
+        return (_segment_sum(g.reshape(-1, x.shape[1]), idx.ravel(), x.shape[0]),)
+    return _emit("gather_rows", x[idx], (a,), vjp)
 
 
 # =============================================================================
@@ -602,8 +617,7 @@ def associative_scan(a, b) -> Tensor:
     """First-order linear recurrence h_t = a_t * h_{t-1} + b_t over axis -2.
 
     ``a`` and ``b`` share shape (..., T, C); h_{-1} = 0. Runs sequentially in
-    time (the deterministic reference); :func:`associative_scan_parallel`
-    computes the same values with a parallel prefix combine.
+    time, so results are deterministic.
     """
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
@@ -628,30 +642,6 @@ def associative_scan(a, b) -> Tensor:
             s = s * ad[..., t, :]
         return da, db
     return _emit("scan", h, (a, b), vjp)
-
-
-def associative_scan_parallel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Parallel-prefix evaluation of the same recurrence (raw arrays).
-
-    Affine maps (a, b) compose associatively:
-    ``(a2, b2) after (a1, b1) = (a2*a1, a2*b1 + b2)``; a Hillis-Steele doubling
-    pass turns per-step maps into prefix maps, and applying the prefix map to
-    h_{-1} = 0 leaves just the additive part.
-    """
-    alpha = np.array(a, dtype=np.float64, copy=True)
-    beta = np.array(b, dtype=np.float64, copy=True)
-    t_len = alpha.shape[-2]
-    offset = 1
-    while offset < t_len:
-        a_head = alpha[..., :-offset, :]
-        b_head = beta[..., :-offset, :]
-        alpha_tail = alpha[..., offset:, :]
-        new_b_tail = alpha_tail * b_head + beta[..., offset:, :]
-        new_a_tail = alpha_tail * a_head
-        alpha = np.concatenate([alpha[..., :offset, :], new_a_tail], axis=-2)
-        beta = np.concatenate([beta[..., :offset, :], new_b_tail], axis=-2)
-        offset *= 2
-    return beta
 
 
 def zoh_phi(z) -> Tensor:

@@ -115,6 +115,7 @@ def _cmd_encode(args) -> list[str]:
     graph = load_graph(args.graph)
     with open(args.walks) as fh:
         batch = walks_from_jsonl(fh.read())
+    batch.validate(graph)
     feats = walk_feature_matrix(graph, batch, window=args.window)
     outputs = []
     if args.out:
@@ -132,6 +133,7 @@ def _cmd_forward(args) -> list[str]:
     if args.walks:
         with open(args.walks) as fh:
             walks = walks_from_jsonl(fh.read())
+        walks.validate(graph)
     result = model.forward(graph, seed=_resolve_seed(args), walks=walks)
     record = {"kind": "forward", "n_nodes": graph.n_nodes,
               "n_walks": result.batch.n_walks if result.batch is not None else 0}

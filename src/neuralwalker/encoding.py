@@ -9,12 +9,11 @@ For a walk ``w_0 .. w_l`` two binary matrices describe its self-structure:
 
 Entries whose lookback leaves the walk (``i - j - 1 < 0``) or touches a
 pad-masked position are zero. The window ``s`` bounds how far back the
-comparisons reach; the full walk feature matrix uses ``s = l``.
+comparisons reach; the full walk feature matrix uses ``s = l``, and the model
+reads both blocks, ``2s - 1`` columns, as its positional encoding.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,38 +22,10 @@ from .graphs import Graph
 from .sampling import WalkBatch
 
 __all__ = [
-    "EncodingConfig",
-    "encoding_dim",
     "encode_batch",
-    "encode_walk",
     "walk_feature_matrix",
     "count_triangle_flags",
 ]
-
-
-@dataclass
-class EncodingConfig:
-    """Which positional encodings to compute and how far back they look."""
-
-    window: int
-    include_identity: bool = True
-    include_adjacency: bool = True
-
-    def validate(self) -> None:
-        if int(self.window) < 1:
-            raise BadWindow(f"encoding window must be >= 1, got {self.window}")
-
-
-def encoding_dim(config: EncodingConfig) -> int:
-    """Total feature columns: s identity columns plus s-1 adjacency columns."""
-    config.validate()
-    s = int(config.window)
-    width = 0
-    if config.include_identity:
-        width += s
-    if config.include_adjacency:
-        width += s - 1
-    return width
 
 
 def _id_adj(graph: Graph, nodes: np.ndarray, mask: np.ndarray,
@@ -80,34 +51,18 @@ def _id_adj(graph: Graph, nodes: np.ndarray, mask: np.ndarray,
 
 
 def encode_batch(graph: Graph, batch: WalkBatch,
-                 config: EncodingConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Identity/adjacency encodings for every walk in a batch."""
-    config.validate()
-    ident, adjac = _id_adj(graph, batch.nodes, batch.mask, int(config.window))
-    if not config.include_identity:
-        ident = ident[:, :, :0]
-    if not config.include_adjacency:
-        adjac = adjac[:, :, :0]
-    return ident, adjac
+                 window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Identity and adjacency encodings of every walk in a batch, of shapes
+    (m, l+1, window) and (m, l+1, window-1).
 
-
-def encode_walk(graph: Graph, nodes, config: EncodingConfig,
-                mask=None) -> tuple[np.ndarray, np.ndarray]:
-    """Single-walk convenience wrapper around :func:`encode_batch` semantics."""
-    config.validate()
-    nodes = np.asarray(nodes, dtype=np.int64).reshape(1, -1)
-    if mask is None:
-        mask_arr = np.ones_like(nodes, dtype=bool)
-    else:
-        mask_arr = np.asarray(mask, dtype=bool).reshape(1, -1)
-        if mask_arr.shape != nodes.shape:
-            raise ShapeError("mask and nodes must have equal length")
-    ident, adjac = _id_adj(graph, nodes, mask_arr, int(config.window))
-    if not config.include_identity:
-        ident = ident[:, :, :0]
-    if not config.include_adjacency:
-        adjac = adjac[:, :, :0]
-    return ident[0], adjac[0]
+    Raises
+    ------
+    BadWindow
+        If ``window < 1``.
+    """
+    if int(window) < 1:
+        raise BadWindow(f"encoding window must be >= 1, got {window}")
+    return _id_adj(graph, batch.nodes, batch.mask, int(window))
 
 
 def walk_feature_matrix(graph: Graph, batch: WalkBatch,
@@ -123,9 +78,7 @@ def walk_feature_matrix(graph: Graph, batch: WalkBatch,
     ndarray of float64, shape (m, l+1, d + d' + window + window - 1)
     """
     l = batch.length
-    s = l if window is None else int(window)
-    if s < 1:
-        raise BadWindow(f"encoding window must be >= 1, got {s}")
+    ident, adjac = encode_batch(graph, batch, l if window is None else window)
     m = batch.n_walks
     node_block = graph.node_features[batch.nodes]  # (m, l+1, d)
     edge_block = np.zeros((m, l + 1, graph.edge_dim), dtype=np.float64)
@@ -133,7 +86,6 @@ def walk_feature_matrix(graph: Graph, batch: WalkBatch,
         step_ok = batch.step_mask() & (batch.edge_slots >= 0)
         safe_slots = np.where(step_ok, batch.edge_slots, 0)
         edge_block[:, :l, :] = graph.edge_features[safe_slots] * step_ok[:, :, None]
-    ident, adjac = _id_adj(graph, batch.nodes, batch.mask, s)
     x = np.concatenate([node_block, edge_block, ident, adjac], axis=2)
     return x * batch.mask[:, :, None]
 

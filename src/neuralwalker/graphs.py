@@ -369,6 +369,11 @@ def loads_graph(text: str) -> Graph:
                 raise ParseError(f"line {lineno}: non-integer header field") from None
             if n < 0 or d < 0 or de < 0 or dir_flag not in (0, 1):
                 raise ParseError(f"line {lineno}: bad header values")
+            # Each node record has 1 + d fields of at least one character, so
+            # a header the text cannot back is rejected before allocating.
+            if n * (1 + d) > len(text):
+                raise ParseError(f"line {lineno}: header declares {n} nodes with {d} features, "
+                                 f"more than the {len(text)}-character file can hold")
             directed = bool(dir_flag)
             header = True
             node_rows = np.zeros((n, d), dtype=np.float64)

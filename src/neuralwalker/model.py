@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoding import EncodingConfig, encode_batch
+from .encoding import encode_batch
 from .errors import ParseError, ShapeError, Unsupported
 from .graphs import Graph, disjoint_union
 from .sampling import WalkBatch, child_seeds, _distinct_starts, _run_walks
@@ -215,6 +215,20 @@ def embed_walks(h_v: Tensor, h_e: Tensor, pe: np.ndarray, batch: WalkBatch,
     return ad.mul(out, Tensor(keep.astype(np.float64)))
 
 
+def _average_rows(seq_out: Tensor, flat_idx: np.ndarray, ids: np.ndarray, n_rows: int,
+                  norm_constant: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """Pick rows ``flat_idx`` of the flattened (walk, position) sequence output
+    and average them per id, dividing by the visit count or, when given, by
+    ``norm_constant``. Returns (average, 0/1 visited flag per id)."""
+    m, n_pos, d = seq_out.shape
+    values = ad.gather_rows(ad.reshape(seq_out, (m * n_pos, d)), flat_idx)
+    visited = (np.bincount(ids, minlength=n_rows) > 0).astype(np.float64)
+    if norm_constant is None:
+        return ad.segment_mean(values, ids, n_rows), visited
+    inv = np.broadcast_to((1.0 / norm_constant)[:, None], (n_rows, d))
+    return ad.mul(ad.scatter_add(values, ids, n_rows), Tensor(inv.copy())), visited
+
+
 def aggregate_nodes(seq_out: Tensor, batch: WalkBatch, n_nodes: int,
                     normalization: str = "visits",
                     norm_constant: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
@@ -225,34 +239,23 @@ def aggregate_nodes(seq_out: Tensor, batch: WalkBatch, n_nodes: int,
     ``normalization="constant"`` the sum is divided by ``norm_constant``
     (per-node) instead of the empirical visit count.
     """
-    m, n_pos, d = seq_out.shape
-    flat_idx = np.flatnonzero(batch.mask.ravel())
-    ids = batch.nodes.ravel()[flat_idx]
-    values = ad.gather_rows(ad.reshape(seq_out, (m * n_pos, d)), flat_idx)
-    visited = (np.bincount(ids, minlength=n_nodes) > 0).astype(np.float64)
     if normalization == "visits":
-        agg = ad.segment_mean(values, ids, n_nodes)
-    else:
-        if norm_constant is None:
-            raise ShapeError("constant normalization needs norm_constant")
-        agg = ad.scatter_add(values, ids, n_nodes)
-        inv = np.broadcast_to((1.0 / norm_constant)[:, None], (n_nodes, d))
-        agg = ad.mul(agg, Tensor(inv.copy()))
-    return agg, visited
+        norm_constant = None
+    elif norm_constant is None:
+        raise ShapeError("constant normalization needs norm_constant")
+    flat_idx = np.flatnonzero(batch.mask.ravel())
+    return _average_rows(seq_out, flat_idx, batch.nodes.ravel()[flat_idx], n_nodes,
+                         norm_constant)
 
 
 def aggregate_edges(seq_out: Tensor, batch: WalkBatch,
                     n_slots: int) -> tuple[Tensor, np.ndarray]:
     """Average the sequence output at each step's source position over the
     edge slots the steps traversed."""
-    m, n_pos, d = seq_out.shape
+    m, n_pos, _ = seq_out.shape
     step_ok = batch.step_mask() & (batch.edge_slots >= 0)
-    grid = np.arange(m * n_pos).reshape(m, n_pos)[:, :-1]
-    flat_idx = grid[step_ok]
-    ids = batch.edge_slots[step_ok]
-    values = ad.gather_rows(ad.reshape(seq_out, (m * n_pos, d)), flat_idx)
-    visited = (np.bincount(ids, minlength=n_slots) > 0).astype(np.float64)
-    return ad.segment_mean(values, ids, n_slots), visited
+    flat_idx = np.arange(m * n_pos).reshape(m, n_pos)[:, :-1][step_ok]
+    return _average_rows(seq_out, flat_idx, batch.edge_slots[step_ok], n_slots)
 
 
 def local_mp_gin(pack: PackedGraphs, h_v: Tensor, h_e: Tensor,
@@ -428,8 +431,7 @@ class Model:
             batch = walks
             walk_gids = (walk_graph_ids if walk_graph_ids is not None
                          else pack.graph_ids[batch.start_nodes])
-        enc_cfg = EncodingConfig(window=cfg.window)
-        ident, adjac = encode_batch(pack.union, batch, enc_cfg)
+        ident, adjac = encode_batch(pack.union, batch, cfg.window)
         pe = np.concatenate([ident, adjac], axis=2)
 
         h_v, h_e = self._initial_states(pack)

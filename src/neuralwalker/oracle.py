@@ -15,7 +15,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .encoding import EncodingConfig, encode_batch
+from .encoding import encode_batch
 from .errors import TooLarge, Unsupported
 from .graphs import Graph, build_graph
 from .sampling import WalkBatch, stationary_distribution
@@ -226,7 +226,7 @@ def _battery_values(graph: Graph, length: int,
     nodes, edge_slots, mask, probs = enumerate_walks(graph, length, non_backtracking)
     batch = WalkBatch(nodes=nodes, edge_slots=edge_slots, mask=mask,
                       start_nodes=nodes[:, 0].copy(), length=length)
-    ident, adjac = encode_batch(graph, batch, EncodingConfig(window=length + 1))
+    ident, adjac = encode_batch(graph, batch, length + 1)
     out: dict[str, float] = {}
     for name, block in (("id", ident), ("adj", adjac)):
         for col in range(block.shape[2]):

@@ -155,6 +155,34 @@ class WalkBatch:
         """(m, l) bool: step i is real iff position i+1 is real."""
         return self.mask[:, 1:]
 
+    def validate(self, graph: Graph) -> None:
+        """Check a batch that did not come from the sampler (a walks file)
+        against the graph it claims to walk on.
+
+        Raises
+        ------
+        BadIndex
+            If a node lies outside ``[0, graph.n_nodes)``.
+        ParseError
+            If the slot of a real step is not the arc ``nodes[i] -> nodes[i+1]``,
+            or a masked step carries a slot other than -1.
+        """
+        if self.nodes.size and (self.nodes.min() < 0 or self.nodes.max() >= graph.n_nodes):
+            raise BadIndex(f"walk node out of range [0, {graph.n_nodes})")
+        src, dst, slots = self.nodes[:, :-1], self.nodes[:, 1:], self.edge_slots
+        is_arc = np.zeros(slots.shape, dtype=bool)
+        if graph.n_slots:
+            inside = (slots >= 0) & (slots < graph.n_slots)
+            safe = np.where(inside, slots, 0)
+            is_arc = inside & (graph.slot_src[safe] == src) & (graph.col_indices[safe] == dst)
+        bad = np.where(self.step_mask(), ~is_arc, slots != -1)
+        if bad.any():
+            w, i = (int(k) for k in np.argwhere(bad)[0])
+            if self.mask[w, i + 1]:
+                raise ParseError(f"walk {w} step {i}: edge slot {slots[w, i]} is not "
+                                 f"the arc {src[w, i]} -> {dst[w, i]}")
+            raise ParseError(f"walk {w} step {i}: masked step carries edge slot {slots[w, i]}")
+
 
 @dataclass
 class CoverageStats:

@@ -21,7 +21,7 @@ from neuralwalker.autodiff import Tensor
 from neuralwalker.cli import main as cli_main
 from neuralwalker.datasets import (make_cycle_path_dataset,
                                    make_triangle_count_dataset)
-from neuralwalker.encoding import EncodingConfig, count_triangle_flags, encode_batch
+from neuralwalker.encoding import count_triangle_flags, encode_batch
 from neuralwalker.graphs import (build_graph, complete_graph, cycle_graph,
                                  disjoint_union, erdos_renyi_graph, path_graph,
                                  random_regular_graph, save_graph, star_graph)
@@ -78,14 +78,13 @@ def test_criterion_1_encodings_bit_exact(report):
     with report(1, "walk encodings bit-exact vs brute force on all "
                    "connected graphs up to 6 nodes (100 walks each)"):
         started = time.perf_counter()
-        config = EncodingConfig(window=4)
         n_graphs = 0
         for n in range(1, 7):
             for g in enumerate_connected_graphs(n):
                 batch = sample_walks_iid(g, 100, 6,
                                          seed=n * 1009 + g.n_slots,
                                          non_backtracking=(n_graphs % 2 == 0))
-                ident, adjac = encode_batch(g, batch, config)
+                ident, adjac = encode_batch(g, batch, 4)
                 ref_i, ref_a = _naive_encodings(g, batch.nodes, batch.mask, 4)
                 assert (ident == ref_i).all()
                 assert (adjac == ref_a).all()
@@ -102,7 +101,7 @@ def test_criterion_1_encodings_bit_exact(report):
                                                c4.edge_slot(3, 0)]]),
                          mask=np.ones((1, 5), dtype=bool),
                          start_nodes=np.array([0]), length=4)
-        ident, adjac = encode_batch(c4, walk, EncodingConfig(window=4))
+        ident, adjac = encode_batch(c4, walk, 4)
         assert ident[0, 4, 3] == 1.0          # returned to the start
         assert ident[0].sum() == 1.0          # and nowhere else
         assert adjac[0, 3, 2] == 1.0          # node 3 is adjacent to node 0

@@ -178,6 +178,39 @@ def test_encode_digest_matches_written_file(capsys, tmp_path, k3_path):
         assert record["sha256"] == hashlib.sha256(fh.read()).hexdigest()
 
 
+def _write_c5_walks(tmp_path, nodes, slots):
+    graph_path = str(tmp_path / "c5.graph")
+    save_graph(cycle_graph(5, with_features=True), graph_path)
+    walks_path = tmp_path / "walks.jsonl"
+    walks_path.write_text(json.dumps({"walk_id": 0, "nodes": nodes, "edge_slots": slots,
+                                      "mask": [1] * len(nodes)}) + "\n")
+    return graph_path, str(walks_path)
+
+
+def _walk_commands(graph_path, walks_path, config_path):
+    return [["encode", "--graph", graph_path, "--walks", walks_path],
+            ["forward", "--graph", graph_path, "--config", config_path,
+             "--walks", walks_path]]
+
+
+def test_walks_file_node_outside_graph_exits_3(capsys, tmp_path, config_path):
+    # C5 has nodes 0..4; slot 3 is the arc 1 -> 2.
+    graph_path, walks_path = _write_c5_walks(tmp_path, [0, 1, 7], [0, 3])
+    for argv in _walk_commands(graph_path, walks_path, config_path):
+        code, out = run_cli(capsys, argv)
+        assert code == 3
+        assert parse_lines(out)[0]["error"] == "BadIndex"
+
+
+def test_walks_file_slot_off_the_walk_exits_3(capsys, tmp_path, config_path):
+    # 0 -> 2 is not an edge of C5, and slot 0 is the arc 0 -> 1.
+    graph_path, walks_path = _write_c5_walks(tmp_path, [0, 2, 3], [0, 5])
+    for argv in _walk_commands(graph_path, walks_path, config_path):
+        code, out = run_cli(capsys, argv)
+        assert code == 3
+        assert parse_lines(out)[0]["error"] == "ParseError"
+
+
 def test_exit_codes(capsys, tmp_path, k3_path):
     # 2: argparse usage error
     with pytest.raises(SystemExit) as exc:

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from neuralwalker.encoding import (
-    EncodingConfig,
     count_triangle_flags,
     encode_batch,
-    encode_walk,
-    encoding_dim,
     walk_feature_matrix,
 )
 from neuralwalker.errors import BadWindow, ShapeError
@@ -18,7 +15,7 @@ from neuralwalker.graphs import (
     cycle_graph,
     erdos_renyi_graph,
 )
-from neuralwalker.sampling import SamplerConfig, sample_walks
+from neuralwalker.sampling import SamplerConfig, WalkBatch, sample_walks
 
 
 def naive_encodings(graph, nodes, mask, window):
@@ -38,6 +35,15 @@ def naive_encodings(graph, nodes, mask, window):
     return ident, adjac
 
 
+def one_walk(graph, nodes):
+    """A batch holding the single unmasked walk ``nodes``."""
+    nodes = np.asarray(nodes, dtype=np.int64).reshape(1, -1)
+    slots = [graph.edge_slot(int(u), int(v)) for u, v in zip(nodes[0, :-1], nodes[0, 1:])]
+    return WalkBatch(nodes=nodes, edge_slots=np.array([slots], dtype=np.int64),
+                     mask=np.ones_like(nodes, dtype=bool), start_nodes=nodes[:, 0].copy(),
+                     length=nodes.shape[1] - 1)
+
+
 # -----------------------------------------------------------------------------
 # Agreement with the naive reference
 # -----------------------------------------------------------------------------
@@ -52,7 +58,7 @@ def test_matches_naive_on_random_walks():
         window = int(rng.integers(1, length + 4))
         batch = sample_walks(g, SamplerConfig(length=length, rate=1.0),
                              seed=trial)
-        ident, adjac = encode_batch(g, batch, EncodingConfig(window=window))
+        ident, adjac = encode_batch(g, batch, window)
         for w in range(batch.n_walks):
             ref_i, ref_a = naive_encodings(g, batch.nodes[w], batch.mask[w],
                                            window)
@@ -65,8 +71,7 @@ def test_cycle_closure_pins():
     # start (identity flag at lookback 4) and the position before it is the
     # start's neighbor (adjacency flag at lookback 3).
     g = cycle_graph(4)
-    nodes = np.array([0, 1, 2, 3, 0])
-    ident, adjac = encode_walk(g, nodes, EncodingConfig(window=4))
+    ident, adjac = (block[0] for block in encode_batch(g, one_walk(g, [0, 1, 2, 3, 0]), 4))
     assert ident[4, 3] == 1.0
     assert adjac[3, 2] == 1.0
     # No other identity flags: all intermediate nodes are distinct.
@@ -78,7 +83,7 @@ def test_cycle_closure_pins():
 def test_first_row_is_always_zero():
     g = complete_graph(4)
     batch = sample_walks(g, SamplerConfig(length=5, rate=1.0), seed=1)
-    ident, adjac = encode_batch(g, batch, EncodingConfig(window=6))
+    ident, adjac = encode_batch(g, batch, 6)
     assert (ident[:, 0, :] == 0).all()
     assert (adjac[:, 0, :] == 0).all()
 
@@ -86,14 +91,14 @@ def test_first_row_is_always_zero():
 def test_no_self_loops_means_no_lookback_one_identity():
     g = complete_graph(5)
     batch = sample_walks(g, SamplerConfig(length=8, rate=1.0), seed=2)
-    ident, _ = encode_batch(g, batch, EncodingConfig(window=4))
+    ident, _ = encode_batch(g, batch, 4)
     assert (ident[:, :, 0] == 0).all()
 
 
 def test_masked_positions_encode_to_zero():
     g = build_graph(3, [(0, 1)])  # node 2 isolated
     batch = sample_walks(g, SamplerConfig(length=4, rate=1.0), seed=5)
-    ident, adjac = encode_batch(g, batch, EncodingConfig(window=3))
+    ident, adjac = encode_batch(g, batch, 3)
     iso = np.flatnonzero(batch.start_nodes == 2)[0]
     assert (ident[iso] == 0).all()
     assert (adjac[iso] == 0).all()
@@ -102,7 +107,7 @@ def test_masked_positions_encode_to_zero():
 def test_window_beyond_walk_length():
     g = cycle_graph(3)
     nodes = np.array([0, 1, 2])
-    ident, adjac = encode_walk(g, nodes, EncodingConfig(window=10))
+    ident, adjac = (block[0] for block in encode_batch(g, one_walk(g, nodes), 10))
     ref_i, ref_a = naive_encodings(g, nodes, np.ones(3, dtype=bool), 10)
     assert (ident == ref_i).all() and (adjac == ref_a).all()
     assert ident.shape == (3, 10) and adjac.shape == (3, 9)
@@ -112,45 +117,13 @@ def test_window_beyond_walk_length():
 # Configuration and shapes
 # -----------------------------------------------------------------------------
 
-def test_encoding_dim_arithmetic():
-    assert encoding_dim(EncodingConfig(window=8)) == 15
-    assert encoding_dim(EncodingConfig(window=8, include_adjacency=False)) == 8
-    assert encoding_dim(EncodingConfig(window=8, include_identity=False)) == 7
-    assert encoding_dim(EncodingConfig(window=1)) == 1
-
-
 def test_bad_window_rejected():
     g = cycle_graph(3)
     batch = sample_walks(g, SamplerConfig(length=2, rate=1.0), seed=0)
     with pytest.raises(BadWindow):
-        encode_batch(g, batch, EncodingConfig(window=0))
+        encode_batch(g, batch, 0)
     with pytest.raises(BadWindow):
         walk_feature_matrix(g, batch, window=-1)
-    with pytest.raises(BadWindow):
-        encoding_dim(EncodingConfig(window=0))
-
-
-def test_include_flags_drop_blocks():
-    g = cycle_graph(4)
-    batch = sample_walks(g, SamplerConfig(length=3, rate=1.0), seed=0)
-    ident, adjac = encode_batch(g, batch,
-                                EncodingConfig(window=3, include_identity=False))
-    assert ident.shape[2] == 0 and adjac.shape[2] == 2
-    ident, adjac = encode_batch(g, batch,
-                                EncodingConfig(window=3, include_adjacency=False))
-    assert ident.shape[2] == 3 and adjac.shape[2] == 0
-
-
-def test_encode_walk_matches_batch_row():
-    g = complete_graph(4)
-    batch = sample_walks(g, SamplerConfig(length=6, rate=1.0), seed=3)
-    ident_b, adjac_b = encode_batch(g, batch, EncodingConfig(window=5))
-    ident_w, adjac_w = encode_walk(g, batch.nodes[1], EncodingConfig(window=5),
-                                   mask=batch.mask[1])
-    assert (ident_w == ident_b[1]).all()
-    assert (adjac_w == adjac_b[1]).all()
-    with pytest.raises(ShapeError):
-        encode_walk(g, [0, 1, 2], EncodingConfig(window=3), mask=[True, True])
 
 
 # -----------------------------------------------------------------------------
@@ -174,7 +147,7 @@ def test_feature_matrix_layout():
             assert (F[w, t, d:d + de] == g.edge_features[slot]).all()
         assert (F[w, 3, d:d + de] == 0).all()
     # Encoding blocks agree with encode_batch.
-    ident, adjac = encode_batch(g, batch, EncodingConfig(window=s))
+    ident, adjac = encode_batch(g, batch, s)
     assert (F[:, :, d + de:d + de + s] == ident).all()
     assert (F[:, :, d + de + s:] == adjac).all()
 

@@ -200,6 +200,13 @@ def test_parse_errors_carry_line_numbers():
         loads_graph("graph 2 0 0 0\n0\n")  # missing node record
 
 
+def test_parse_rejects_header_the_text_cannot_hold():
+    with pytest.raises(ParseError, match="line 1"):
+        loads_graph("graph 1000000000000 1 0 0\n")
+    with pytest.raises(ParseError, match="line 1"):
+        loads_graph("graph 2 1000000000000 0 0\n0 1.0\n1 2.0\n")
+
+
 def test_parse_edge_endpoint_out_of_range():
     with pytest.raises(BadIndex):
         loads_graph("graph 3 0 0 0\n0\n1\n2\n0 5\n")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from neuralwalker.encoding import EncodingConfig, encode_batch
+from neuralwalker.encoding import encode_batch
 from neuralwalker.errors import TooLarge, Unsupported
 from neuralwalker.graphs import (
     build_graph,
@@ -333,8 +333,7 @@ def test_covering_walk_encodings_identify_small_graphs():
             assert covering.any(), f"graph {idx} on {n} nodes has no covering walk"
             batch = WalkBatch(nodes=nodes, edge_slots=slots, mask=mask,
                               start_nodes=nodes[:, 0].copy(), length=length)
-            ident, adjac = encode_batch(g, batch,
-                                        EncodingConfig(window=length + 1))
+            ident, adjac = encode_batch(g, batch, length + 1)
             signatures = np.concatenate([ident, adjac], axis=2)[covering]
             for sig in signatures:
                 key = sig.tobytes()

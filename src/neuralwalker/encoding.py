@@ -11,6 +11,11 @@ Entries whose lookback leaves the walk (``i - j - 1 < 0``) or touches a
 pad-masked position are zero. The window ``s`` bounds how far back the
 comparisons reach; the full walk feature matrix uses ``s = l``, and the model
 reads both blocks, ``2s - 1`` columns, as its positional encoding.
+
+The two blocks are written side by side into one (m, l+1, 2s - 1) buffer, one
+lookback at a time, with one ``Graph.has_edges`` call per adjacency column.
+:func:`walk_feature_matrix` passes the tail columns of its own output as that
+buffer, so the feature matrix is built in place, without a concatenation.
 """
 
 from __future__ import annotations
@@ -28,17 +33,25 @@ __all__ = [
 ]
 
 
-def _id_adj(graph: Graph, nodes: np.ndarray, mask: np.ndarray,
-            window: int) -> tuple[np.ndarray, np.ndarray]:
+def _check_window(window) -> int:
+    if int(window) < 1:
+        raise BadWindow(f"encoding window must be >= 1, got {window}")
+    return int(window)
+
+
+def _id_adj(graph: Graph, nodes: np.ndarray, mask: np.ndarray, window: int,
+            out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Batched identity/adjacency encodings.
 
-    nodes: (m, l+1) int64; mask: (m, l+1) bool. Returns float64 arrays of
-    shapes (m, l+1, s) and (m, l+1, s-1).
+    nodes: (m, l+1) int64; mask: (m, l+1) bool. The flags go into ``out``, a
+    zero-filled float64 block of shape (m, l+1, 2*s - 1) (allocated when not
+    given); returns its views of shapes (m, l+1, s) and (m, l+1, s-1).
     """
     m, n_pos = nodes.shape
     s = window
-    ident = np.zeros((m, n_pos, s), dtype=np.float64)
-    adjac = np.zeros((m, n_pos, max(s - 1, 0)), dtype=np.float64)
+    if out is None:
+        out = np.zeros((m, n_pos, 2 * s - 1), dtype=np.float64)
+    ident, adjac = out[:, :, :s], out[:, :, s:]
     for j in range(min(s, n_pos - 1)):
         offset = j + 1
         a = nodes[:, offset:]
@@ -60,9 +73,7 @@ def encode_batch(graph: Graph, batch: WalkBatch,
     BadWindow
         If ``window < 1``.
     """
-    if int(window) < 1:
-        raise BadWindow(f"encoding window must be >= 1, got {window}")
-    return _id_adj(graph, batch.nodes, batch.mask, int(window))
+    return _id_adj(graph, batch.nodes, batch.mask, _check_window(window))
 
 
 def walk_feature_matrix(graph: Graph, batch: WalkBatch,
@@ -78,16 +89,19 @@ def walk_feature_matrix(graph: Graph, batch: WalkBatch,
     ndarray of float64, shape (m, l+1, d + d' + window + window - 1)
     """
     l = batch.length
-    ident, adjac = encode_batch(graph, batch, l if window is None else window)
-    m = batch.n_walks
-    node_block = graph.node_features[batch.nodes]  # (m, l+1, d)
-    edge_block = np.zeros((m, l + 1, graph.edge_dim), dtype=np.float64)
-    if graph.edge_dim and graph.n_slots:
-        step_ok = batch.step_mask() & (batch.edge_slots >= 0)
+    s = _check_window(l if window is None else window)
+    d, de = graph.node_dim, graph.edge_dim
+    x = np.zeros((batch.n_walks, l + 1, d + de + 2 * s - 1), dtype=np.float64)
+    # Masked entries are feature * 0.0, which keeps the sign of a negative feature.
+    np.multiply(graph.node_features[batch.nodes], batch.mask[:, :, None], out=x[:, :, :d])
+    if de and graph.n_slots:
+        # A walks file may mask a position whose outgoing step is real.
+        step_ok = batch.step_mask() & batch.mask[:, :l] & (batch.edge_slots >= 0)
         safe_slots = np.where(step_ok, batch.edge_slots, 0)
-        edge_block[:, :l, :] = graph.edge_features[safe_slots] * step_ok[:, :, None]
-    x = np.concatenate([node_block, edge_block, ident, adjac], axis=2)
-    return x * batch.mask[:, :, None]
+        np.multiply(graph.edge_features[safe_slots], step_ok[:, :, None],
+                    out=x[:, :l, d:d + de])
+    _id_adj(graph, batch.nodes, batch.mask, s, out=x[:, :, d + de:])
+    return x
 
 
 def count_triangle_flags(graph: Graph, walk_nodes: np.ndarray) -> int:

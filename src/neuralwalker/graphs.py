@@ -8,7 +8,7 @@ message passing can treat every graph as a set of directed arcs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +57,9 @@ class Graph:
     edge_features : ndarray of float64, shape (n_slots, edge_dim)
         Per-slot feature rows; mirrored slots of an undirected edge carry
         identical values.
+
+    Edge lookups (``has_edge``, ``has_edges``, ``edge_slot``) search the sorted
+    CSR row of the source node, so a query costs about log2(max degree) steps.
     """
 
     n_nodes: int
@@ -66,14 +69,6 @@ class Graph:
     slot_src: np.ndarray
     node_features: np.ndarray
     edge_features: np.ndarray
-    # Sorted (src * n + dst) keys; strictly increasing because slots are sorted
-    # by (src, dst). Enables O(log E) vectorized edge membership and slot lookup.
-    _slot_keys: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self) -> None:
-        if self._slot_keys is None:
-            keys = self.slot_src.astype(np.int64) * max(self.n_nodes, 1) + self.col_indices
-            object.__setattr__(self, "_slot_keys", keys)
 
     # --- sizes -----------------------------------------------------------------
 
@@ -120,27 +115,53 @@ class Graph:
         """
         self._check_node(u)
         self._check_node(v)
-        key = u * self.n_nodes + v
-        pos = int(np.searchsorted(self._slot_keys, key))
-        if pos == self.n_slots or self._slot_keys[pos] != key:
+        slot = int(self._find_slots(u, v))
+        if slot < 0:
             raise BadIndex(f"no edge slot {u} -> {v}")
-        return pos
+        return slot
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
         self._check_node(v)
-        key = u * self.n_nodes + v
-        pos = int(np.searchsorted(self._slot_keys, key))
-        return pos < self.n_slots and self._slot_keys[pos] == key
+        return bool(self._find_slots(u, v) >= 0)
 
     def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Vectorized ``has_edge`` over equally-shaped index arrays."""
-        keys = np.asarray(u, dtype=np.int64) * self.n_nodes + np.asarray(v, dtype=np.int64)
-        pos = np.searchsorted(self._slot_keys, keys)
-        pos_clamped = np.minimum(pos, self.n_slots - 1) if self.n_slots else pos * 0
-        if self.n_slots == 0:
-            return np.zeros(keys.shape, dtype=bool)
-        return self._slot_keys[pos_clamped] == keys
+        return self._find_slots(u, v) >= 0
+
+    def _find_slots(self, u, v) -> np.ndarray:
+        """CSR slot of each arc ``u -> v``, or -1 where there is none.
+
+        ``v`` may hold any integers, of the same shape as ``u``. Branch-free
+        lower bound inside each sorted row: ``pos`` moves from the row start
+        past the entries below ``v``, in steps that halve from the largest
+        power of two not above the longest queried row, so every query takes
+        the same log2(max degree) + 1 vectorized passes.
+
+        Raises
+        ------
+        BadIndex
+            If a source in ``u`` lies outside ``[0, n_nodes)``.
+        """
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        if u.size and (u.min() < 0 or u.max() >= self.n_nodes):
+            raise BadIndex(f"edge query source outside [0, {self.n_nodes})")
+        if self.n_slots == 0 or u.size == 0:
+            return np.full(u.shape, -1, dtype=np.int64)
+        col = self.col_indices
+        pos = self.row_offsets[u]
+        end = self.row_offsets[u + 1]
+        step = 1 << max(int((end - pos).max()).bit_length() - 1, 0)
+        while step:
+            probe = pos + (step - 1)
+            below = probe < end
+            below &= col.take(probe, mode="clip") < v
+            pos += below * step
+            step >>= 1
+        found = pos < end
+        found &= col.take(pos, mode="clip") == v
+        return np.where(found, pos, -1)
 
     def _check_node(self, v: int) -> None:
         if not (0 <= v < self.n_nodes):

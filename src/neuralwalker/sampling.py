@@ -18,8 +18,9 @@ Two sampling modes exist:
 Transition kernel (shared by both modes): uniform over neighbors; with
 ``non_backtracking`` the previous node is excluded whenever at least one other
 neighbor exists, and a degree-1 dead end falls back to backtracking for that
-step. A walk starting on an isolated node stays there with positions 1..l
-pad-masked.
+step. On a directed graph "neighbor" means out-neighbor, and the previous node
+is excluded only when it is one. A walk starting on an isolated node stays
+there with positions 1..l pad-masked.
 """
 
 from __future__ import annotations
@@ -242,28 +243,6 @@ def _distinct_starts(graph: Graph, m: int, distribution: str, seed: int) -> np.n
 # Vectorized walk generation
 # =============================================================================
 
-def _bisect_neighbor_pos(col: np.ndarray, off: np.ndarray, deg: np.ndarray,
-                         target: np.ndarray) -> np.ndarray:
-    """Index of ``target`` inside each sorted CSR row (rows given by off/deg).
-
-    Caller guarantees the target is present wherever the result is used.
-    """
-    lo = np.zeros(off.shape[0], dtype=np.int64)
-    hi = deg.astype(np.int64).copy()
-    limit = max(col.shape[0] - 1, 0)
-    while True:
-        open_rows = lo < hi
-        if not np.any(open_rows):
-            break
-        mid = (lo + hi) >> 1
-        idx = np.minimum(off + mid, limit)
-        val = col[idx]
-        go_right = open_rows & (val < target)
-        lo = np.where(go_right, mid + 1, lo)
-        hi = np.where(open_rows & ~go_right, mid, hi)
-    return lo
-
-
 def _advance(graph: Graph, cur: np.ndarray, prev: np.ndarray, u: np.ndarray,
              non_backtracking: bool) -> tuple[np.ndarray, np.ndarray]:
     """One transition for every walk; returns (next_nodes, slots) with slot -1
@@ -272,14 +251,16 @@ def _advance(graph: Graph, cur: np.ndarray, prev: np.ndarray, u: np.ndarray,
     deg = (graph.row_offsets[cur + 1] - off).astype(np.int64)
     alive = deg > 0
     if non_backtracking:
-        excl = alive & (prev >= 0) & (deg >= 2)
+        # Exclude prev only where it is an out-neighbour of cur (on a directed
+        # graph it need not be); its position in the row is slot - off.
+        back = graph._find_slots(cur, prev)
+        excl = (back >= 0) & (deg >= 2)
     else:
         excl = np.zeros(cur.shape, dtype=bool)
     eff = np.maximum(deg - excl.astype(np.int64), 1)
     r = np.minimum((u * eff).astype(np.int64), eff - 1)
     if np.any(excl):
-        pos = _bisect_neighbor_pos(graph.col_indices, off, deg, prev)
-        r = np.where(excl & (r >= pos), r + 1, r)
+        r = np.where(excl & (r >= back - off), r + 1, r)
     slot = np.minimum(off + r, max(graph.n_slots - 1, 0))
     nxt = np.where(alive, graph.col_indices[slot] if graph.n_slots else cur, cur)
     slot = np.where(alive, slot, -1)
@@ -433,6 +414,11 @@ def remap_walks(batch: WalkBatch, perm: np.ndarray, target: Graph) -> WalkBatch:
     fresh so they index the target's CSR layout. Used by isomorphism-
     invariance checks: a model must produce identical pooled outputs on
     (graph, batch) and (relabeled graph, remapped batch).
+
+    Raises
+    ------
+    BadIndex
+        If ``target`` lacks the arc of a real step.
     """
     perm = np.asarray(perm, dtype=np.int64)
     nodes = perm[batch.nodes]
@@ -441,7 +427,10 @@ def remap_walks(batch: WalkBatch, perm: np.ndarray, target: Graph) -> WalkBatch:
     if step_ok.any():
         src = nodes[:, :-1][step_ok]
         dst = nodes[:, 1:][step_ok]
-        found = np.searchsorted(target._slot_keys, src * target.n_nodes + dst)
+        found = target._find_slots(src, dst)
+        if np.any(found < 0):
+            k = int(np.argmax(found < 0))
+            raise BadIndex(f"target graph has no arc {src[k]} -> {dst[k]} for a walk step")
         slots[step_ok] = found
     return WalkBatch(nodes=nodes, edge_slots=slots, mask=batch.mask.copy(),
                      start_nodes=perm[batch.start_nodes], length=batch.length)
@@ -464,7 +453,28 @@ def walks_to_jsonl(batch: WalkBatch) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_rows(rows: list, name: str) -> np.ndarray:
+    """Stack per-walk lists into an (m, k) int64 array; anything but flat
+    lists of integers raises ParseError."""
+    try:
+        arr = np.asarray(rows)
+    except (ValueError, OverflowError):  # ragged nesting, or an integer past int64
+        raise ParseError(f"walk {name} must be flat lists of integers") from None
+    if arr.ndim != 2 or (arr.size and arr.dtype.kind != "i"):
+        raise ParseError(f"walk {name} must be flat lists of integers")
+    return arr.astype(np.int64, copy=False)
+
+
 def walks_from_jsonl(text: str) -> WalkBatch:
+    """Parse :func:`walks_to_jsonl` output.
+
+    Raises
+    ------
+    ParseError
+        If a record is malformed, the walks differ in length, a node, slot or
+        mask entry is not an integer, a mask entry is not 0 or 1, or a walk's
+        position 0 is masked.
+    """
     nodes, slots, mask = [], [], []
     length = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -476,22 +486,29 @@ def walks_from_jsonl(text: str) -> WalkBatch:
             row_nodes = rec["nodes"]
             row_slots = rec["edge_slots"]
             row_mask = rec["mask"]
+            if length is None:
+                length = len(row_nodes) - 1
+            same = (len(row_nodes) == length + 1 and len(row_slots) == length
+                    and len(row_mask) == length + 1)
         except (json.JSONDecodeError, KeyError, TypeError):
             raise ParseError(f"line {lineno}: malformed walk record") from None
-        if length is None:
-            length = len(row_nodes) - 1
-        if len(row_nodes) != length + 1 or len(row_slots) != length or len(row_mask) != length + 1:
+        if not same:
             raise ParseError(f"line {lineno}: inconsistent walk lengths")
         nodes.append(row_nodes)
         slots.append(row_slots)
         mask.append(row_mask)
     if length is None:
         raise ParseError("empty walks file")
-    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes = _int_rows(nodes, "nodes")
+    mask = _int_rows(mask, "mask")
+    if np.any((mask != 0) & (mask != 1)):
+        raise ParseError("walk mask entries must be 0 or 1")
+    if not mask[:, 0].all():
+        raise ParseError("walk mask must be 1 at position 0")
     return WalkBatch(
         nodes=nodes,
-        edge_slots=np.asarray(slots, dtype=np.int64),
-        mask=np.asarray(mask, dtype=np.int64).astype(bool),
+        edge_slots=_int_rows(slots, "edge_slots"),
+        mask=mask.astype(bool),
         start_nodes=nodes[:, 0].copy(),
         length=length,
     )

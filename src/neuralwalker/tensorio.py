@@ -33,8 +33,9 @@ def dumps_tensor(arr: np.ndarray) -> bytes:
         raise TooLarge(f"rank {arr.ndim} exceeds the u8 rank field")
     header = MAGIC + bytes([arr.ndim])
     dims = np.asarray(arr.shape, dtype="<u8").tobytes()
-    payload = arr.astype("<f8", copy=False).tobytes()
-    return header + dims + payload
+    payload = arr.astype("<f8", copy=False)
+    # join reads the array's buffer directly, so the payload is copied once.
+    return b"".join((header, dims, payload.data))
 
 
 def loads_tensor(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:

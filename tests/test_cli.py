@@ -211,6 +211,14 @@ def test_walks_file_slot_off_the_walk_exits_3(capsys, tmp_path, config_path):
         assert parse_lines(out)[0]["error"] == "ParseError"
 
 
+def test_walks_file_fractional_node_exits_3(capsys, tmp_path, config_path):
+    graph_path, walks_path = _write_c5_walks(tmp_path, [0, 0.7, 2], [0, 3])
+    for argv in _walk_commands(graph_path, walks_path, config_path):
+        code, out = run_cli(capsys, argv)
+        assert code == 3
+        assert parse_lines(out)[0]["error"] == "ParseError"
+
+
 def test_exit_codes(capsys, tmp_path, k3_path):
     # 2: argparse usage error
     with pytest.raises(SystemExit) as exc:

@@ -161,6 +161,34 @@ def test_feature_matrix_masks_padded_rows():
     assert F[iso, 0, 0] == 1.0  # start row keeps its node features
 
 
+def test_feature_matrix_bytes_match_block_formula():
+    # Negative features make every masked entry -0.0, so only the same
+    # products in the same order give the same bytes.
+    rng = np.random.default_rng(5)
+    g = build_graph(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)],  # 5, 6 isolated
+                    node_features=-rng.uniform(0.5, 2.0, size=(7, 2)),
+                    edge_features=-rng.uniform(0.5, 2.0, size=(5, 3)))
+    sampled = sample_walks(g, SamplerConfig(length=5, rate=1.0), seed=2)
+    # A file-style walk whose position 1 is masked while step 1 has a slot.
+    holed = WalkBatch(nodes=np.array([[0, 1, 2, 3]]),
+                      edge_slots=np.array([[-1, g.edge_slot(1, 2), g.edge_slot(2, 3)]]),
+                      mask=np.array([[True, False, True, True]]),
+                      start_nodes=np.array([0]), length=3)
+    for batch in (sampled, holed):
+        l = batch.length
+        for window in (None, 1, 2, l + 3):
+            ident, adjac = encode_batch(g, batch, l if window is None else window)
+            edge_block = np.zeros((batch.n_walks, l + 1, g.edge_dim))
+            step_ok = batch.step_mask() & (batch.edge_slots >= 0)
+            safe_slots = np.where(step_ok, batch.edge_slots, 0)
+            edge_block[:, :l, :] = g.edge_features[safe_slots] * step_ok[:, :, None]
+            want = np.concatenate([g.node_features[batch.nodes], edge_block, ident, adjac],
+                                  axis=2) * batch.mask[:, :, None]
+            got = walk_feature_matrix(g, batch, window=window)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 # -----------------------------------------------------------------------------
 # Triangle flags
 # -----------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuralwalker.errors import (
     BadIndex,
@@ -86,6 +88,59 @@ def test_has_edges_vectorized_matches_scalar():
     for a in range(8):
         for b in range(8):
             assert vec[a, b] == g.has_edge(a, b)
+
+
+@st.composite
+def _graphs_with_neighbour_sets(draw):
+    """A small graph (random, star hub or edgeless, directed or not, often
+    with isolated nodes) and its out-neighbour sets built in Python."""
+    directed = draw(st.booleans())
+    shape = draw(st.sampled_from(["random", "star", "edgeless"]))
+    n = draw(st.integers(0 if shape == "edgeless" else 2, 12))
+    if shape == "random":
+        arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=3 * n))
+        arcs = [(u, v) for u, v in arcs if u != v]
+    elif shape == "star":
+        hub = draw(st.integers(0, n - 1))
+        arcs = [(hub, v) if draw(st.booleans()) else (v, hub) for v in range(n) if v != hub]
+    else:
+        arcs = []
+    edges = {}
+    for u, v in arcs:
+        edges.setdefault((u, v) if directed else (min(u, v), max(u, v)), None)
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        if not directed:
+            nbrs[v].add(u)
+    return build_graph(n, list(edges), directed=directed), nbrs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs_with_neighbour_sets())
+def test_edge_lookup_matches_neighbour_sets(case):
+    g, nbrs = case
+    n = g.n_nodes
+    # Every (u, v) with u a node; v also runs one past each end of the range.
+    u, v = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(-1, n + 1), indexing="ij"))
+    slots = g._find_slots(u, v)
+    want = np.array([b in nbrs[a] for a, b in zip(u.tolist(), v.tolist())], dtype=bool)
+    assert (g.has_edges(u, v) == want).all()
+    assert ((slots >= 0) == want).all()
+    assert (g.slot_src[slots[want]] == u[want]).all()
+    assert (g.col_indices[slots[want]] == v[want]).all()
+    for bad in (-2, -1, n):
+        with pytest.raises(BadIndex):
+            g.has_edges(np.array([bad]), np.array([0]))
+    for a in range(n):
+        for b in range(n):
+            assert g.has_edge(a, b) == (b in nbrs[a])
+            if b in nbrs[a]:
+                assert g.edge_slot(a, b) == slots[a * (n + 2) + b + 1]
+            else:
+                with pytest.raises(BadIndex):
+                    g.edge_slot(a, b)
 
 
 def test_build_rejects_self_loop():

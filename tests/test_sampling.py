@@ -1,9 +1,12 @@
 """Walk sampler tests: determinism, kernel laws, coverage, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
 from neuralwalker.errors import (
+    BadIndex,
     BadLength,
     NeverCovers,
     ParseError,
@@ -166,6 +169,24 @@ def test_structural_invariants_on_random_graphs():
         _assert_valid_batch(g, batch, non_backtracking=nb)
 
 
+def test_non_backtracking_on_directed_graph_excludes_only_out_neighbours():
+    # 0 -> 1 -> {2, 3}: prev 0 is not an out-neighbour of 1, so both 2 and 3
+    # stay allowed. 4 <-> 5 -> 6: prev 4 is an out-neighbour of 5, so it is
+    # excluded and the walk must go on to 6.
+    g = build_graph(7, [(0, 1), (1, 2), (1, 3), (2, 0), (3, 0),
+                        (4, 5), (5, 4), (5, 6), (6, 4)], directed=True)
+    batch = sample_walks_iid(g, n_walks=7000, length=2, seed=8, non_backtracking=True)
+    from_0 = batch.nodes[batch.nodes[:, 0] == 0]
+    assert (from_0[:, 1] == 1).all()
+    n = from_0.shape[0]
+    sigma = np.sqrt(0.25 / n)
+    assert abs(np.mean(from_0[:, 2] == 2) - 0.5) < 4 * sigma
+    assert (from_0[:, 2] != 0).all()
+    from_4 = batch.nodes[batch.nodes[:, 0] == 4]
+    assert from_4.shape[0] > 0 and (from_4[:, 2] == 6).all()
+    _assert_valid_batch(g, batch, non_backtracking=False)
+
+
 # -----------------------------------------------------------------------------
 # Kernel law checks (Monte Carlo)
 # -----------------------------------------------------------------------------
@@ -272,6 +293,27 @@ def test_jsonl_round_trip():
     assert (back.start_nodes == batch.start_nodes).all()
 
 
+_GOOD_RECORD = {"walk_id": 0, "nodes": [0, 1, 2], "edge_slots": [0, 2], "mask": [1, 1, 1]}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("nodes", [0, "a", 2]),
+    ("nodes", [0, 0.7, 2]),
+    ("nodes", [[0], [1], [2]]),
+    ("nodes", [0, [1, 2], 2]),
+    ("nodes", [0, None, 2]),
+    ("edge_slots", [0, 2.5]),
+    ("mask", [1, 2, 1]),
+    ("mask", [1, -1, 1]),
+    ("mask", [1, 0.5, 1]),
+    ("mask", [0, 1, 1]),
+])
+def test_jsonl_rejects_records_that_are_not_flat_integer_walks(field, value):
+    bad = json.dumps(dict(_GOOD_RECORD, walk_id=1, **{field: value}))
+    with pytest.raises(ParseError):
+        walks_from_jsonl(json.dumps(_GOOD_RECORD) + "\n" + bad + "\n")
+
+
 def test_jsonl_rejects_malformed_input():
     with pytest.raises(ParseError):
         walks_from_jsonl("not json\n")
@@ -306,3 +348,10 @@ def test_remap_identity_is_noop():
     same = remap_walks(batch, np.arange(5), g)
     assert (same.nodes == batch.nodes).all()
     assert (same.edge_slots == batch.edge_slots).all()
+
+
+def test_remap_walks_rejects_target_without_the_arc():
+    # P4 walks cross the arc 1 -> 2, which the star (centre 0) lacks.
+    batch = sample_walks(path_graph(4), SamplerConfig(length=3, rate=1.0), seed=1)
+    with pytest.raises(BadIndex):
+        remap_walks(batch, np.arange(4), star_graph(4))

@@ -7,9 +7,19 @@ arrays; the backward pass itself is never recorded, so there is no
 higher-order differentiation). With no tape active, ops run in inference mode
 and record nothing.
 
+Inference mode computes only the value. A quantity that only the backward
+pass reads (a derivative such as phi'(z) in :func:`zoh_phi`, the sigmoid of
+:func:`softplus`) is computed inside the op's VJP closure, from the same
+inputs and with the same formula, so it costs nothing without a tape and the
+gradients are the same bits either way.
+
 Broadcasting is deliberately narrow: elementwise ops accept equal shapes, a
 python scalar, or one operand whose shape is a trailing suffix of the other's
 (the bias case). Anything else needs an explicit :func:`expand` / ``reshape``.
+
+``Tensor.data`` is never written in place. :func:`expand` returns a read-only
+broadcast view instead of a copy, ``reshape`` copies only where numpy cannot
+return a view, and the optimizer rebinds ``data`` rather than writing into it.
 
 Every row scatter -- :func:`segment_mean`, :func:`scatter_add` and the VJP of
 :func:`gather_rows` -- goes through one primitive, :func:`_segment_sum`.
@@ -338,7 +348,10 @@ def flip_axis(a, axis: int) -> Tensor:
 
 
 def expand(a, shape) -> Tensor:
-    """Broadcast size-1 axes of ``a`` up to ``shape`` (equal ndim required)."""
+    """Broadcast size-1 axes of ``a`` up to ``shape`` (equal ndim required).
+
+    The output's data is a read-only view of ``a.data``; nothing is copied.
+    """
     a = as_tensor(a)
     shape = tuple(int(s) for s in shape)
     if len(shape) != a.data.ndim:
@@ -350,7 +363,7 @@ def expand(a, shape) -> Tensor:
 
     def vjp(g):
         return (g.sum(axis=grown, keepdims=True) if grown else g,)
-    return _emit("expand", np.broadcast_to(a.data, shape).copy(), (a,), vjp)
+    return _emit("expand", np.broadcast_to(a.data, shape), (a,), vjp)
 
 
 # =============================================================================
@@ -368,8 +381,11 @@ def gelu(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
     cdf = 0.5 * (1.0 + _erf(x / np.sqrt(2.0)))
-    pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    return _emit("gelu", x * cdf, (a,), lambda g: (g * (cdf + x * pdf),))
+
+    def vjp(g):
+        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+        return (g * (cdf + x * pdf),)
+    return _emit("gelu", x * cdf, (a,), vjp)
 
 
 def sigmoid(a) -> Tensor:
@@ -399,9 +415,8 @@ def log(a) -> Tensor:
 def softplus(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
-    out = np.logaddexp(0.0, x)
-    s = 1.0 / (1.0 + np.exp(-x))
-    return _emit("softplus", out, (a,), lambda g: (g * s,))
+    return _emit("softplus", np.logaddexp(0.0, x), (a,),
+                 lambda g: (g * (1.0 / (1.0 + np.exp(-x))),))
 
 
 def silu(a) -> Tensor:
@@ -466,10 +481,9 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     shifted = x - x.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     y = shifted - lse
-    sm = np.exp(y)
 
     def vjp(g):
-        return (g - sm * g.sum(axis=axis, keepdims=True),)
+        return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
     return _emit("log_softmax", y, (a,), vjp)
 
 
@@ -624,15 +638,17 @@ def associative_scan(a, b) -> Tensor:
     if ad.shape != bd.shape or ad.ndim < 2:
         raise ShapeError(f"scan needs equal (..., T, C) shapes, got {ad.shape}, {bd.shape}")
     t_len = ad.shape[-2]
-    h = np.empty_like(bd)
-    state = np.zeros_like(bd[..., 0, :])
+    # Buffers are C-ordered by shape: an input may be an expand view, and
+    # ``empty_like`` would copy its stride order into the gradient layout.
+    h = np.empty(bd.shape)
+    state = np.zeros(bd.shape[:-2] + bd.shape[-1:])
     for t in range(t_len):
         state = ad[..., t, :] * state + bd[..., t, :]
         h[..., t, :] = state
 
     def vjp(g):
-        da = np.empty_like(ad)
-        db = np.empty_like(bd)
+        da = np.empty(ad.shape)
+        db = np.empty(bd.shape)
         s = np.zeros_like(state)
         for t in range(t_len - 1, -1, -1):
             s = s + g[..., t, :]
@@ -655,11 +671,14 @@ def zoh_phi(z) -> Tensor:
     x = a.data
     small = np.abs(x) < 1e-4
     safe = np.where(small, 1.0, x)
-    val_big = np.expm1(safe) / safe
-    val_small = 1.0 + x / 2.0 + x * x / 6.0 + x * x * x / 24.0
-    val = np.where(small, val_small, val_big)
-    # phi'(z) = (exp(z)(z - 1) + 1) / z^2, series 1/2 + z/3 + z^2/8 + z^3/30.
-    der_big = (np.exp(safe) * (safe - 1.0) + 1.0) / (safe * safe)
-    der_small = 0.5 + x / 3.0 + x * x / 8.0 + x * x * x / 30.0
-    der = np.where(small, der_small, der_big)
-    return _emit("zoh_phi", val, (a,), lambda g: (g * der,))
+    xs = x[small]
+    val = np.expm1(safe)
+    val /= safe
+    val[small] = 1.0 + xs / 2.0 + xs * xs / 6.0 + xs * xs * xs / 24.0
+
+    def vjp(g):
+        # phi'(z) = (exp(z)(z - 1) + 1) / z^2, series 1/2 + z/3 + z^2/8 + z^3/30.
+        der = (np.exp(safe) * (safe - 1.0) + 1.0) / (safe * safe)
+        der[small] = 0.5 + xs / 3.0 + xs * xs / 8.0 + xs * xs * xs / 30.0
+        return (g * der,)
+    return _emit("zoh_phi", val, (a,), vjp)

@@ -134,10 +134,12 @@ class WalkBatch:
     nodes : ndarray of int64, shape (m, l+1)
         Node index at each position. Isolated-node walks repeat the start.
     edge_slots : ndarray of int64, shape (m, l)
-        CSR slot of the arc taken at each step; -1 where the step is masked.
+        CSR slot of the arc taken at each step; -1 where the step is masked,
+        and -1 on a real step where the walk stays put on a node with
+        out-degree 0 (a sink of a directed graph).
     mask : ndarray of bool, shape (m, l+1)
         True at real positions. Column 0 is always True; columns 1..l are
-        False exactly for isolated-node walks.
+        False exactly for walks whose start node has out-degree 0.
     start_nodes : ndarray of int64, shape (m,)
     length : int
     """
@@ -165,18 +167,28 @@ class WalkBatch:
         BadIndex
             If a node lies outside ``[0, graph.n_nodes)``.
         ParseError
-            If the slot of a real step is not the arc ``nodes[i] -> nodes[i+1]``,
-            or a masked step carries a slot other than -1.
+            If a walk's steps are not all real or all masked, a walk whose
+            start node has out-degree > 0 is masked, the slot of a real step is
+            not the arc ``nodes[i] -> nodes[i+1]`` (or -1 for a stay on a node
+            with out-degree 0), or a masked step carries a slot other than -1.
         """
         if self.nodes.size and (self.nodes.min() < 0 or self.nodes.max() >= graph.n_nodes):
             raise BadIndex(f"walk node out of range [0, {graph.n_nodes})")
         src, dst, slots = self.nodes[:, :-1], self.nodes[:, 1:], self.edge_slots
-        is_arc = np.zeros(slots.shape, dtype=bool)
+        steps = self.step_mask()
+        sink = graph.degrees() == 0
+        masked = ~steps.all(axis=1)
+        bad_walk = masked & (steps.any(axis=1) | ~sink[self.nodes[:, 0]])
+        if bad_walk.any():
+            w = int(np.argmax(bad_walk))
+            raise ParseError(f"walk {w}: only a walk whose start node has out-degree 0 "
+                             f"may mask steps, and then it masks all of them")
+        ok = (slots == -1) & (dst == src) & sink[src]
         if graph.n_slots:
             inside = (slots >= 0) & (slots < graph.n_slots)
             safe = np.where(inside, slots, 0)
-            is_arc = inside & (graph.slot_src[safe] == src) & (graph.col_indices[safe] == dst)
-        bad = np.where(self.step_mask(), ~is_arc, slots != -1)
+            ok |= inside & (graph.slot_src[safe] == src) & (graph.col_indices[safe] == dst)
+        bad = np.where(steps, ~ok, slots != -1)
         if bad.any():
             w, i = (int(k) for k in np.argwhere(bad)[0])
             if self.mask[w, i + 1]:
@@ -472,8 +484,9 @@ def walks_from_jsonl(text: str) -> WalkBatch:
     ------
     ParseError
         If a record is malformed, the walks differ in length, a node, slot or
-        mask entry is not an integer, a mask entry is not 0 or 1, or a walk's
-        position 0 is masked.
+        mask entry is not an integer (JSON ``true``/``false`` included), a
+        mask entry is not 0 or 1, or a mask row is neither all 1s nor a 1
+        followed by 0s.
     """
     nodes, slots, mask = [], [], []
     length = None
@@ -494,6 +507,11 @@ def walks_from_jsonl(text: str) -> WalkBatch:
             raise ParseError(f"line {lineno}: malformed walk record") from None
         if not same:
             raise ParseError(f"line {lineno}: inconsistent walk lengths")
+        # numpy reads a bool among ints as 0/1; only lines that spell one
+        # need the per-element check.
+        if ("true" in line or "false" in line) and any(
+                isinstance(v, bool) for row in (row_nodes, row_slots, row_mask) for v in row):
+            raise ParseError(f"line {lineno}: walk entries must be integers, not booleans")
         nodes.append(row_nodes)
         slots.append(row_slots)
         mask.append(row_mask)
@@ -503,8 +521,8 @@ def walks_from_jsonl(text: str) -> WalkBatch:
     mask = _int_rows(mask, "mask")
     if np.any((mask != 0) & (mask != 1)):
         raise ParseError("walk mask entries must be 0 or 1")
-    if not mask[:, 0].all():
-        raise ParseError("walk mask must be 1 at position 0")
+    if not mask[:, 0].all() or np.any(mask[:, 1:] != mask[:, 1:2]):
+        raise ParseError("walk mask must be all 1s, or a 1 followed by 0s")
     return WalkBatch(
         nodes=nodes,
         edge_slots=_int_rows(slots, "edge_slots"),

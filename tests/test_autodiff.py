@@ -362,3 +362,99 @@ def test_expand_only_grows_size_one_axes():
 def test_matmul_shape_errors():
     with pytest.raises(ShapeError):
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+
+
+def test_expand_is_a_read_only_view_with_the_same_gradient():
+    x = Tensor(np.arange(3.0).reshape(3, 1), requires_grad=True)
+    w = np.arange(15.0).reshape(3, 5) - 7.0
+    with Tape() as tape:
+        y = ad.expand(x, (3, 5))
+        loss = _weighted_sum(y, w)
+    assert not y.data.flags.writeable
+    assert np.shares_memory(y.data, x.data)
+    with pytest.raises(ValueError):
+        y.data[0, 0] = 1.0
+    backward(loss, tape)
+    assert x.grad.tobytes() == w.sum(axis=1, keepdims=True).tobytes()
+
+
+# -----------------------------------------------------------------------------
+# Inference mode computes only values: forward values and VJPs stay the bits of
+# the eager formulas that used to compute the derivative in the forward pass
+# -----------------------------------------------------------------------------
+
+def _value_and_vjp(op, x: np.ndarray, g: np.ndarray):
+    t = Tensor(x.copy(), requires_grad=True)
+    untaped = op(Tensor(x.copy())).data
+    with Tape() as tape:
+        out = op(t)
+        loss = ad.reduce_sum(ad.mul(out, Tensor(g)))
+    backward(loss, tape)
+    assert untaped.tobytes() == out.data.tobytes()
+    return out.data, t.grad
+
+
+def _eager_zoh_phi(x, g):
+    small = np.abs(x) < 1e-4
+    safe = np.where(small, 1.0, x)
+    val = np.where(small, 1.0 + x / 2.0 + x * x / 6.0 + x * x * x / 24.0,
+                   np.expm1(safe) / safe)
+    der_big = (np.exp(safe) * (safe - 1.0) + 1.0) / (safe * safe)
+    der_small = 0.5 + x / 3.0 + x * x / 8.0 + x * x * x / 30.0
+    return val, g * np.where(small, der_small, der_big)
+
+
+def _eager_softplus(x, g):
+    return np.logaddexp(0.0, x), g * (1.0 / (1.0 + np.exp(-x)))
+
+
+def _eager_gelu(x, g):
+    cdf = 0.5 * (1.0 + ad._erf(x / np.sqrt(2.0)))
+    pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    return x * cdf, g * (cdf + x * pdf)
+
+
+def _eager_log_softmax(x, g):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    y = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return y, g - np.exp(y) * g.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("op,eager", [
+    (ad.zoh_phi, _eager_zoh_phi),
+    (ad.softplus, _eager_softplus),
+    (ad.gelu, _eager_gelu),
+    (ad.log_softmax, _eager_log_softmax),
+], ids=["zoh_phi", "softplus", "gelu", "log_softmax"])
+def test_value_and_vjp_bits_match_eager_formulas(op, eager):
+    rng = np.random.default_rng(11)
+    x = np.concatenate([
+        np.array([0.0, -0.0, 1e-300, -9.99e-5, 9.99e-5, 1e-4, -1e-4, 3e-7, -2e-12]),
+        rng.uniform(-1e-4, 1e-4, 23),              # near-zero series branch
+        -rng.uniform(1.0, 700.0, 16),              # large negative (delta * A)
+        rng.uniform(-5.0, 5.0, 16),
+    ]).reshape(8, 8)
+    g = rng.normal(size=x.shape)
+    value, grad = _value_and_vjp(op, x, g)
+    want_value, want_grad = eager(x, g)
+    assert value.tobytes() == want_value.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_scan_gradient_bits_do_not_depend_on_an_expand_view_input():
+    rng = np.random.default_rng(5)
+    a = Tensor(rng.uniform(0.1, 0.9, (1, 1, 6)), requires_grad=True)
+    b = Tensor(rng.normal(size=(16, 12, 6)), requires_grad=True)
+    w = rng.normal(size=(16, 12, 6))
+
+    def grads(copy_first):
+        a.grad = b.grad = None
+        with Tape() as tape:
+            a_full = ad.expand(a, (16, 12, 6))
+            if copy_first:
+                a_full = ad.add(a_full, 0.0)       # a contiguous copy of the view
+            loss = _weighted_sum(ad.associative_scan(a_full, b), w)
+        backward(loss, tape)
+        return a.grad.tobytes(), b.grad.tobytes()
+
+    assert grads(copy_first=False) == grads(copy_first=True)

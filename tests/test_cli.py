@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from neuralwalker.cli import main
-from neuralwalker.graphs import complete_graph, cycle_graph, save_graph
+from neuralwalker.graphs import build_graph, complete_graph, cycle_graph, save_graph
 from neuralwalker.model import Model, ModelConfig
 from neuralwalker.sampling import walks_from_jsonl
 
@@ -217,6 +217,31 @@ def test_walks_file_fractional_node_exits_3(capsys, tmp_path, config_path):
         code, out = run_cli(capsys, argv)
         assert code == 3
         assert parse_lines(out)[0]["error"] == "ParseError"
+
+
+def test_walks_file_boolean_node_exits_3(capsys, tmp_path, config_path):
+    graph_path, walks_path = _write_c5_walks(tmp_path, [0, True, 2], [0, 3])
+    for argv in _walk_commands(graph_path, walks_path, config_path):
+        code, out = run_cli(capsys, argv)
+        assert code == 3
+        assert parse_lines(out)[0]["error"] == "ParseError"
+
+
+def test_walks_stopping_at_a_directed_sink_round_trip_through_the_cli(
+        capsys, tmp_path, config_path):
+    # Node 2 has out-degree 0: walks that reach it stay there with slot -1.
+    graph = build_graph(3, [(0, 1), (1, 2)], node_features=np.eye(3)[:, :1],
+                        directed=True)
+    graph_path = str(tmp_path / "sink.graph")
+    save_graph(graph, graph_path)
+    walks_path = str(tmp_path / "walks.jsonl")
+    code, _ = run_cli(capsys, ["--no-timing", "sample", "--graph", graph_path,
+                               "--length", "3", "--out", walks_path])
+    assert code == 0
+    for argv in _walk_commands(graph_path, walks_path, config_path):
+        code, out = run_cli(capsys, ["--no-timing"] + argv)
+        assert code == 0
+        assert parse_lines(out)[0]["kind"] in ("features", "forward")
 
 
 def test_exit_codes(capsys, tmp_path, k3_path):

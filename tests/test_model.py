@@ -425,6 +425,20 @@ def test_forward_shapes_across_architectures(seq_layer, global_mp):
     assert np.isfinite(result.prediction.data).all()
 
 
+@pytest.mark.parametrize("seq_layer", ["s4", "selective"])
+def test_forward_bits_are_the_same_with_and_without_a_tape(seq_layer):
+    cfg = _tiny_config(seq_layer=seq_layer, global_mp="transformer", heads=2, state=4,
+                       bidirectional=True, head="regression")
+    model = Model(cfg, seed=3)
+    graphs = [cycle_graph(5, with_features=True), path_graph(4, with_features=True)]
+    plain = model.forward(graphs, seed=9)
+    with ad.Tape() as tape:
+        taped = model.forward(graphs, seed=9)
+    assert tape.records
+    for name in ("node_embeddings", "pooled", "prediction"):
+        assert getattr(plain, name).data.tobytes() == getattr(taped, name).data.tobytes()
+
+
 def test_forward_with_edge_features():
     rng = np.random.default_rng(11)
     edges = [(0, 1), (1, 2), (2, 3)]

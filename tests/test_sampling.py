@@ -24,6 +24,7 @@ from neuralwalker.graphs import (
 from neuralwalker.sampling import (
     CoverageStats,
     SamplerConfig,
+    WalkBatch,
     child_seeds,
     measure_cover_time,
     remap_walks,
@@ -355,3 +356,65 @@ def test_remap_walks_rejects_target_without_the_arc():
     batch = sample_walks(path_graph(4), SamplerConfig(length=3, rate=1.0), seed=1)
     with pytest.raises(BadIndex):
         remap_walks(batch, np.arange(4), star_graph(4))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("nodes", [0, True, 2]),
+    ("edge_slots", [False, 2]),
+    ("mask", [1, True, 1]),
+])
+def test_jsonl_rejects_booleans_among_integers(field, value):
+    bad = json.dumps(dict(_GOOD_RECORD, walk_id=1, **{field: value}))
+    with pytest.raises(ParseError, match="line 2"):
+        walks_from_jsonl(json.dumps(_GOOD_RECORD) + "\n" + bad + "\n")
+
+
+@pytest.mark.parametrize("mask", [[1, 0, 1], [1, 1, 0]])
+def test_jsonl_rejects_a_mask_that_is_not_a_real_prefix_of_one_or_all(mask):
+    bad = json.dumps(dict(_GOOD_RECORD, mask=mask))
+    with pytest.raises(ParseError):
+        walks_from_jsonl(bad + "\n")
+
+
+def test_jsonl_accepts_a_walk_masked_after_its_start():
+    rec = dict(_GOOD_RECORD, nodes=[4, 4, 4], edge_slots=[-1, -1], mask=[1, 0, 0])
+    batch = walks_from_jsonl(json.dumps(rec) + "\n")
+    assert batch.mask.tolist() == [[True, False, False]]
+
+
+def _one_walk(nodes, slots, mask):
+    return WalkBatch(nodes=np.array([nodes]), edge_slots=np.array([slots]),
+                     mask=np.array([mask], dtype=bool), start_nodes=np.array([nodes[0]]),
+                     length=len(slots))
+
+
+def test_validate_accepts_sampled_walks_that_stop_at_a_directed_sink():
+    g = build_graph(3, [(0, 1), (1, 2)], directed=True)   # node 2 has out-degree 0
+    batch = sample_walks(g, SamplerConfig(length=4, rate=1.0), seed=0)
+    assert (batch.edge_slots[batch.mask[:, 1:]] == -1).any()
+    batch.validate(g)
+    _one_walk([0, 1, 2, 2], [0, 1, -1], [1, 1, 1, 1]).validate(g)
+    _one_walk([2, 2, 2, 2], [-1, -1, -1], [1, 0, 0, 0]).validate(g)
+
+
+@pytest.mark.parametrize("nodes,slots", [
+    ([0, 1, 1], [0, -1]),        # stays put on node 1, which has an out-arc
+    ([0, 1, 2], [0, -1]),        # moves along 1 -> 2 without naming its slot
+    ([1, 2, 0], [1, -1]),        # leaves the sink 2 along no arc
+])
+def test_validate_rejects_a_slotless_step_off_a_sink(nodes, slots):
+    g = build_graph(3, [(0, 1), (1, 2)], directed=True)
+    with pytest.raises(ParseError):
+        _one_walk(nodes, slots, [1, 1, 1]).validate(g)
+
+
+@pytest.mark.parametrize("nodes,slots,mask", [
+    ([0, 0, 1], [-1, 0], [1, 0, 1]),       # a hole between real positions
+    ([2, 2, 2], [-1, -1], [1, 0, 1]),      # a hole in a walk from the sink 2
+    ([0, 1, 1], [0, -1], [1, 1, 0]),       # a masked tail after a real step
+    ([0, 0, 0], [-1, -1], [1, 0, 0]),      # masked, but node 0 has an out-arc
+])
+def test_validate_rejects_masks_other_than_a_sink_start(nodes, slots, mask):
+    g = build_graph(3, [(0, 1), (1, 2)], directed=True)
+    with pytest.raises(ParseError):
+        _one_walk(nodes, slots, mask).validate(g)

@@ -27,7 +27,7 @@ import numpy as np
 from .datasets import TASK_BUILDERS, load_dataset, make_dataset, save_dataset
 from .encoding import walk_feature_matrix
 from .errors import GuardError, NeuralWalkerError
-from .graphs import load_graph, random_regular_graph
+from .graphs import _read_text, load_graph, random_regular_graph
 from .model import Model, ModelConfig
 from .oracle import (enumerate_walks, exact_expectation, separation_witness,
                      triangle_count, wl_colors, wl_indistinguishable)
@@ -71,8 +71,7 @@ def _load_model(args) -> Model:
     if getattr(args, "model", None):
         return load_checkpoint(args.model)
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            return Model(ModelConfig.from_json(fh.read()))
+        return Model(ModelConfig.from_json(_read_text(args.config)))
     raise NeuralWalkerError("need --model or --config")
 
 
@@ -113,8 +112,7 @@ def _cmd_sample(args) -> list[str]:
 
 def _cmd_encode(args) -> list[str]:
     graph = load_graph(args.graph)
-    with open(args.walks) as fh:
-        batch = walks_from_jsonl(fh.read())
+    batch = walks_from_jsonl(_read_text(args.walks))
     batch.validate(graph)
     feats = walk_feature_matrix(graph, batch, window=args.window)
     outputs = []
@@ -131,8 +129,7 @@ def _cmd_forward(args) -> list[str]:
     model = _load_model(args)
     walks = None
     if args.walks:
-        with open(args.walks) as fh:
-            walks = walks_from_jsonl(fh.read())
+        walks = walks_from_jsonl(_read_text(args.walks))
         walks.validate(graph)
     result = model.forward(graph, seed=_resolve_seed(args), walks=walks)
     record = {"kind": "forward", "n_nodes": graph.n_nodes,
@@ -152,8 +149,7 @@ def _cmd_forward(args) -> list[str]:
 def _cmd_train(args) -> list[str]:
     dataset = _load_task(args)
     if args.config:
-        with open(args.config) as fh:
-            config = ModelConfig.from_json(fh.read())
+        config = ModelConfig.from_json(_read_text(args.config))
     else:
         config = ModelConfig()
     config.node_dim = dataset.graphs[0].node_dim

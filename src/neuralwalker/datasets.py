@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError
-from .graphs import (cycle_graph, erdos_renyi_graph, load_graph, path_graph,
-                     save_graph)
+from .graphs import (_read_text, cycle_graph, erdos_renyi_graph, load_graph,
+                     path_graph, save_graph)
 from .oracle import triangle_count
 
 __all__ = [
@@ -151,8 +151,7 @@ def save_dataset(dataset: TaskDataset, directory: str) -> None:
 def load_dataset(directory: str) -> TaskDataset:
     path = os.path.join(directory, "dataset.json")
     try:
-        with open(path) as fh:
-            manifest = json.load(fh)
+        manifest = json.loads(_read_text(path))
     except FileNotFoundError:
         raise ParseError(f"no dataset.json in {directory}") from None
     except json.JSONDecodeError as exc:

@@ -454,9 +454,23 @@ def dumps_graph(graph: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-def load_graph(path) -> Graph:
+def _read_text(path) -> str:
+    """The contents of a UTF-8 text file.
+
+    Raises
+    ------
+    ParseError
+        If the bytes are not UTF-8.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_graph(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def load_graph(path) -> Graph:
+    return loads_graph(_read_text(path))
 
 
 def save_graph(graph: Graph, path) -> None:

@@ -114,6 +114,8 @@ class ModelConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"config is not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ParseError("config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:

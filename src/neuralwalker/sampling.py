@@ -452,17 +452,71 @@ def remap_walks(batch: WalkBatch, perm: np.ndarray, target: Graph) -> WalkBatch:
 # JSON-lines serialization (one record per walk)
 # =============================================================================
 
+# Walks formatted per ``%`` call. The call needs every integer of its rows as
+# a Python object; one call over 100k walks x 20 steps held ~280 MB of them.
+_FORMAT_BLOCK = 1024
+
+
+def _format_walks(nodes: np.ndarray, edge_slots: np.ndarray, mask: np.ndarray) -> str:
+    """The canonical text of a batch: one ``%``-template line per walk, applied
+    to the ``(walk_id | nodes | edge_slots | mask)`` integer rows a block of
+    walks at a time."""
+    m, l1 = nodes.shape
+    if m == 0:
+        return "\n"
+    row = ",".join
+    line = ('{"walk_id":%d,"nodes":[' + row(["%d"] * l1) + '],"edge_slots":['
+            + row(["%d"] * (l1 - 1)) + '],"mask":[' + row(["%d"] * l1) + ']}\n')
+    ids = np.arange(m)[:, None]
+    parts = []
+    for i in range(0, m, _FORMAT_BLOCK):
+        block = slice(i, i + _FORMAT_BLOCK)
+        rows = np.hstack([ids[block], nodes[block], edge_slots[block], mask[block]])
+        parts.append((line * rows.shape[0]) % tuple(rows.ravel().tolist()))
+    return "".join(parts)
+
+
+# Every byte but a digit or "-" becomes a space, leaving the integers of a
+# walks file as one whitespace-separated list.
+_DIGITS_ONLY = bytes(c if c in b"0123456789-" else 0x20 for c in range(256))
+
+
+def _read_canonical(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(nodes, edge_slots, mask) of text that :func:`_format_walks` wrote, or
+    None for any other text.
+
+    The integers are read in one pass, and the arrays are accepted only if
+    formatting them reproduces ``text`` byte for byte. ``np.fromstring``
+    alone would also accept leading zeros, ``"1 - 2"``, and integers past
+    int64 (it saturates them); the rewrite rejects all of those.
+    """
+    m = text.count("\n")
+    if m == 0 or not text.isascii():
+        return None
+    try:
+        ints = np.fromstring(text.encode("ascii").translate(_DIGITS_ONLY),
+                             dtype=np.int64, sep=" ")
+    except ValueError:  # a "-" that does not start a number
+        return None
+    if ints.size % (3 * m) or ints.size == 0:
+        return None
+    table = ints.reshape(m, -1)
+    l1 = table.shape[1] // 3
+    nodes, slots, mask = table[:, 1:l1 + 1], table[:, l1 + 1:2 * l1], table[:, 2 * l1:]
+    if _format_walks(nodes, slots, mask) != text:
+        return None
+    return nodes, slots, mask
+
+
 def walks_to_jsonl(batch: WalkBatch) -> str:
-    lines = []
-    for j in range(batch.n_walks):
-        rec = {
-            "walk_id": j,
-            "nodes": batch.nodes[j].tolist(),
-            "edge_slots": batch.edge_slots[j].tolist(),
-            "mask": batch.mask[j].astype(int).tolist(),
-        }
-        lines.append(json.dumps(rec, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+    """Serialize a batch as JSON lines, one record per walk.
+
+    Record ``j`` is ``{"walk_id":j,"nodes":[...],"edge_slots":[...],"mask":[...]}``
+    with compact separators, the mask as 0/1, and a ``\\n`` after every record;
+    a batch with no walks gives ``"\\n"``. Each line equals
+    ``json.dumps(record, separators=(",", ":"))``.
+    """
+    return _format_walks(batch.nodes, batch.edge_slots, batch.mask)
 
 
 def _int_rows(rows: list, name: str) -> np.ndarray:
@@ -477,17 +531,8 @@ def _int_rows(rows: list, name: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def walks_from_jsonl(text: str) -> WalkBatch:
-    """Parse :func:`walks_to_jsonl` output.
-
-    Raises
-    ------
-    ParseError
-        If a record is malformed, the walks differ in length, a node, slot or
-        mask entry is not an integer (JSON ``true``/``false`` included), a
-        mask entry is not 0 or 1, or a mask row is neither all 1s nor a 1
-        followed by 0s.
-    """
+def _read_records(text: str) -> tuple[list, list, list]:
+    """Per-row lists of (nodes, edge_slots, mask), one JSON record per line."""
     nodes, slots, mask = [], [], []
     length = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -517,16 +562,36 @@ def walks_from_jsonl(text: str) -> WalkBatch:
         mask.append(row_mask)
     if length is None:
         raise ParseError("empty walks file")
-    nodes = _int_rows(nodes, "nodes")
-    mask = _int_rows(mask, "mask")
+    return nodes, slots, mask
+
+
+def walks_from_jsonl(text: str) -> WalkBatch:
+    """Parse a walks file.
+
+    Text in the form :func:`walks_to_jsonl` writes is read in one vectorised
+    pass. Any other text, such as other separators or key order, blank lines,
+    or a missing final newline, is parsed one JSON record per line; the
+    result is the same, and so is every error.
+
+    Raises
+    ------
+    ParseError
+        If a record is malformed, the walks differ in length, a node, slot or
+        mask entry is not an integer (JSON ``true``/``false`` included), a
+        mask entry is not 0 or 1, or a mask row is neither all 1s nor a 1
+        followed by 0s.
+    """
+    rows = _read_canonical(text) or _read_records(text)
+    nodes = _int_rows(rows[0], "nodes")
+    mask = _int_rows(rows[2], "mask")
     if np.any((mask != 0) & (mask != 1)):
         raise ParseError("walk mask entries must be 0 or 1")
     if not mask[:, 0].all() or np.any(mask[:, 1:] != mask[:, 1:2]):
         raise ParseError("walk mask must be all 1s, or a 1 followed by 0s")
     return WalkBatch(
         nodes=nodes,
-        edge_slots=_int_rows(slots, "edge_slots"),
+        edge_slots=_int_rows(rows[1], "edge_slots"),
         mask=mask.astype(bool),
         start_nodes=nodes[:, 0].copy(),
-        length=length,
+        length=nodes.shape[1] - 1,
     )

@@ -19,8 +19,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
 from .datasets import TaskDataset
-from .errors import ShapeError, TensorError
-from .model import Model, pack_graphs
+from .errors import ParseError, ShapeError, TensorError
+from .graphs import _read_text
+from .model import Model, ModelConfig, pack_graphs
 from .optim import AdamW, warmup_cosine_lr
 from .sampling import child_seeds
 from .tensorio import load_tensors, save_tensors
@@ -224,15 +225,29 @@ def save_checkpoint(model: Model, path: str) -> None:
 
 
 def load_checkpoint(path: str):
-    """Rebuild a model from ``save_checkpoint`` output."""
-    from .model import ModelConfig
-    with open(path + ".json") as fh:
-        manifest = json.load(fh)
-    config = ModelConfig.from_json(json.dumps(manifest["config"]))
-    model = Model(config)
+    """Rebuild a model from ``save_checkpoint`` output.
+
+    Raises
+    ------
+    ParseError
+        If the ``.json`` manifest is not UTF-8 JSON, not an object, or lacks a
+        ``params`` list of names or a ``config`` object.
+    ShapeError
+        If the tensors do not match the names or the model's parameters.
+    """
+    try:
+        manifest = json.loads(_read_text(path + ".json"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"checkpoint manifest is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ParseError("checkpoint manifest must be a JSON object")
+    names = manifest.get("params")
+    if not isinstance(names, list) or not all(isinstance(k, str) for k in names):
+        raise ParseError("checkpoint manifest needs 'params', a list of parameter names")
+    model = Model(ModelConfig.from_json(json.dumps(manifest.get("config"))))
     tensors = load_tensors(path)
-    if len(tensors) != len(manifest["params"]):
+    if len(tensors) != len(names):
         raise ShapeError(f"checkpoint holds {len(tensors)} tensors, "
-                         f"manifest lists {len(manifest['params'])}")
-    model.load_state_arrays(dict(zip(manifest["params"], tensors)))
+                         f"manifest lists {len(names)}")
+    model.load_state_arrays(dict(zip(names, tensors)))
     return model

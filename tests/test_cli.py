@@ -12,6 +12,7 @@ from neuralwalker.cli import main
 from neuralwalker.graphs import build_graph, complete_graph, cycle_graph, save_graph
 from neuralwalker.model import Model, ModelConfig
 from neuralwalker.sampling import walks_from_jsonl
+from neuralwalker.training import save_checkpoint
 
 
 def run_cli(capsys, argv):
@@ -242,6 +243,50 @@ def test_walks_stopping_at_a_directed_sink_round_trip_through_the_cli(
         code, out = run_cli(capsys, ["--no-timing"] + argv)
         assert code == 0
         assert parse_lines(out)[0]["kind"] in ("features", "forward")
+
+
+# Bytes that are not UTF-8: a UTF-16 byte-order mark, then a lone continuation byte.
+_NOT_UTF8 = b"\xff\xfe\x80"
+
+
+def _assert_parse_error(capsys, argv):
+    code, out = run_cli(capsys, argv)
+    assert code == 3
+    assert parse_lines(out)[0]["error"] == "ParseError"
+
+
+def test_non_utf8_graph_file_exits_3(capsys, tmp_path):
+    path = tmp_path / "bad.graph"
+    path.write_bytes(b"graph 2 0 0 0\n0\n1\n" + _NOT_UTF8 + b"\n")
+    _assert_parse_error(capsys, ["sample", "--graph", str(path), "--length", "2"])
+
+
+def test_non_utf8_walks_file_exits_3(capsys, tmp_path, config_path):
+    graph_path, walks_path = _write_c5_walks(tmp_path, [0, 1, 2], [0, 3])
+    with open(walks_path, "rb") as fh:
+        text = fh.read()
+    with open(walks_path, "wb") as fh:
+        fh.write(_NOT_UTF8 + text)
+    for argv in _walk_commands(graph_path, walks_path, config_path):
+        _assert_parse_error(capsys, argv)
+
+
+def test_non_utf8_config_file_exits_3(capsys, tmp_path, k3_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(_NOT_UTF8)
+    _assert_parse_error(capsys, ["forward", "--graph", k3_path, "--config", str(path)])
+    _assert_parse_error(capsys, ["train", "--task", "cycle_path", "--config", str(path)])
+
+
+@pytest.mark.parametrize("sidecar", [_NOT_UTF8, b"not json", b"[1]", b'{"config": 3}'])
+def test_bad_checkpoint_manifest_exits_3(capsys, tmp_path, k3_path, config_path, sidecar):
+    with open(config_path) as fh:
+        model = Model(ModelConfig.from_json(fh.read()))
+    ckpt = str(tmp_path / "model.nwtf")
+    save_checkpoint(model, ckpt)
+    with open(ckpt + ".json", "wb") as fh:
+        fh.write(sidecar)
+    _assert_parse_error(capsys, ["forward", "--graph", k3_path, "--model", ckpt])
 
 
 def test_exit_codes(capsys, tmp_path, k3_path):

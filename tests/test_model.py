@@ -59,6 +59,12 @@ def test_config_rejects_unknown_keys_and_values():
         _tiny_config(pooling="max").validate()
 
 
+@pytest.mark.parametrize("text", ["3", "null", '"x"', "[1]", "true"])
+def test_config_must_be_a_json_object(text):
+    with pytest.raises(ParseError, match="config must be a JSON object"):
+        ModelConfig.from_json(text)
+
+
 # -----------------------------------------------------------------------------
 # Packing
 # -----------------------------------------------------------------------------

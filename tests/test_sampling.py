@@ -2,6 +2,8 @@
 
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from neuralwalker.graphs import (
     path_graph,
     star_graph,
 )
+from neuralwalker import sampling
 from neuralwalker.sampling import (
     CoverageStats,
     SamplerConfig,
@@ -380,6 +383,121 @@ def test_jsonl_accepts_a_walk_masked_after_its_start():
     rec = dict(_GOOD_RECORD, nodes=[4, 4, 4], edge_slots=[-1, -1], mask=[1, 0, 0])
     batch = walks_from_jsonl(json.dumps(rec) + "\n")
     assert batch.mask.tolist() == [[True, False, False]]
+
+
+# -----------------------------------------------------------------------------
+# JSONL fast path against the per-record reference
+# -----------------------------------------------------------------------------
+
+def _records(batch):
+    return [{"walk_id": j, "nodes": batch.nodes[j].tolist(),
+             "edge_slots": batch.edge_slots[j].tolist(),
+             "mask": batch.mask[j].astype(int).tolist()} for j in range(batch.n_walks)]
+
+
+def _reference_jsonl(batch):
+    """The per-record formula the canonical writer must reproduce."""
+    lines = [json.dumps(rec, separators=(",", ":")) for rec in _records(batch)]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _walk_batches(draw):
+    """Sampled batches on small random graphs, directed ones with sinks and
+    any with isolated nodes; node ids are then shifted to up to 19 digits."""
+    n = draw(st.integers(1, 7))
+    directed = draw(st.booleans())
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=12))
+    edges = {}
+    for u, v in arcs:
+        if u != v:
+            edges.setdefault((u, v) if directed else (min(u, v), max(u, v)), None)
+    g = build_graph(n, list(edges), directed=directed)
+    config = SamplerConfig(length=draw(st.integers(1, 8)), n_walks=draw(st.integers(1, n)),
+                           non_backtracking=draw(st.booleans()))
+    batch = sample_walks(g, config, seed=draw(st.integers(0, 2**32)))
+    shift = draw(st.sampled_from([0, 9, 10**6, 10**12, 2**63 - 8]))
+    batch.nodes = batch.nodes + shift
+    batch.start_nodes = batch.start_nodes + shift
+    return batch
+
+
+def _assert_same_walks(got, want):
+    assert got.length == want.length
+    for name in ("nodes", "edge_slots", "mask", "start_nodes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all(), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(_walk_batches())
+def test_jsonl_writer_matches_per_record_json_dumps(batch):
+    assert walks_to_jsonl(batch) == _reference_jsonl(batch)
+
+
+def test_jsonl_round_trip_spans_several_format_blocks():
+    n = 2 * sampling._FORMAT_BLOCK + 5
+    batch = sample_walks(cycle_graph(n), SamplerConfig(length=3, rate=1.0), seed=2)
+    text = walks_to_jsonl(batch)
+    assert text == _reference_jsonl(batch)
+    _assert_same_walks(walks_from_jsonl(text), batch)
+
+
+def test_jsonl_writer_writes_one_newline_for_no_walks():
+    batch = WalkBatch(nodes=np.zeros((0, 4), dtype=np.int64),
+                      edge_slots=np.zeros((0, 3), dtype=np.int64),
+                      mask=np.zeros((0, 4), dtype=bool),
+                      start_nodes=np.zeros(0, dtype=np.int64), length=3)
+    assert walks_to_jsonl(batch) == _reference_jsonl(batch) == "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_walk_batches(), st.randoms(use_true_random=False))
+def test_jsonl_reader_gives_the_same_walks_for_every_rendition(batch, rnd):
+    text = walks_to_jsonl(batch)
+    records = _records(batch)
+    ids = list(range(batch.n_walks))
+    rnd.shuffle(ids)
+    renditions = [
+        "".join(json.dumps(rec) + "\n" for rec in records),
+        "".join(json.dumps(dict(reversed(list(rec.items()))), separators=(",", ":")) + "\n"
+                for rec in records),
+        "\n" + text.replace("\n", "\n\n"),
+        text[:-1],
+        "".join(json.dumps(dict(rec, walk_id=k), separators=(",", ":")) + "\n"
+                for rec, k in zip(records, ids)),
+    ]
+    if ids == sorted(ids):
+        renditions.pop()
+    # The canonical text never reaches the per-record parser; the others do.
+    assert sampling._read_canonical(text) is not None
+    for other in renditions:
+        assert sampling._read_canonical(other) is None
+        _assert_same_walks(walks_from_jsonl(other), batch)
+    _assert_same_walks(walks_from_jsonl(text), batch)
+
+
+_CANONICAL = ('{"walk_id":0,"nodes":[0,1,2],"edge_slots":[0,2],"mask":[1,1,1]}\n'
+              '{"walk_id":1,"nodes":[4,4,4],"edge_slots":[-1,-1],"mask":[1,0,0]}\n')
+
+
+@pytest.mark.parametrize("old,new", [
+    ('"mask":[1,0,0]', '"mask":[1,0,2]'),
+    ('"mask":[1,0,0]', '"mask":[1,0,1]'),
+    ('"mask":[1,0,0]', '"mask":[0,0,0]'),
+    ('"nodes":[4,4,4]', '"nodes":[4,04,4]'),
+    ('"nodes":[4,4,4]', '"nodes":[4,12345678901234567890,4]'),
+    ('"nodes":[4,4,4]', '"nodes":[4,--5,4]'),
+    ('"nodes":[4,4,4]', '"nodes":[4,1 - 2,4]'),
+    ('"nodes":[4,4,4]', '"nodes":[4,true,4]'),
+    ('"nodes":[4,4,4]', '"nodes":[4,1.0,4]'),
+    ('"edge_slots":[-1,-1]', '"edge_slots":[-1,-01]'),
+])
+def test_jsonl_rejects_canonical_shaped_lines_the_record_parser_rejects(old, new):
+    assert walks_from_jsonl(_CANONICAL).n_walks == 2
+    with pytest.raises(ParseError):
+        walks_from_jsonl(_CANONICAL.replace(old, new))
 
 
 def _one_walk(nodes, slots, mask):

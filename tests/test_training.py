@@ -5,7 +5,7 @@ import pytest
 
 from neuralwalker.autodiff import Tensor
 from neuralwalker.datasets import make_cycle_path_dataset, make_triangle_count_dataset
-from neuralwalker.errors import ShapeError, TensorError
+from neuralwalker.errors import ParseError, ShapeError, TensorError
 from neuralwalker.model import Model, ModelConfig
 from neuralwalker.training import (
     classification_loss,
@@ -177,4 +177,25 @@ def test_checkpoint_detects_tensor_count_mismatch(tmp_path):
     with open(path + ".json", "w") as fh:
         json.dump(manifest, fh)
     with pytest.raises(ShapeError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("sidecar", [
+    b"not json",
+    b"[1]",
+    b"3",
+    b'{"config": 3}',
+    b'{"params": 3, "config": {}}',
+    b'{"params": [1, 2], "config": {}}',
+    b'{"params": []}',
+    b'{"params": [], "config": null}',
+    b'{"params": [], "config": 3}',
+    b"\xff\xfe{}",
+])
+def test_checkpoint_rejects_a_malformed_manifest(tmp_path, sidecar):
+    path = str(tmp_path / "model.nwtf")
+    save_checkpoint(Model(_config(), seed=0), path)
+    with open(path + ".json", "wb") as fh:
+        fh.write(sidecar)
+    with pytest.raises(ParseError):
         load_checkpoint(path)

@@ -9,8 +9,6 @@ Exit codes: 0 success, 2 usage error (argparse), 3 data or model error,
 4 resource guard tripped.
 
 The ``NW_SEED`` environment variable, when set, overrides ``--seed``.
-``--threads`` is accepted for interface stability and currently changes
-nothing.
 """
 
 from __future__ import annotations
@@ -305,8 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Random-walk graph learning: sampling, encodings, models, oracles.")
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed (NW_SEED env var overrides)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; accepted without effect")
     parser.add_argument("--no-timing", action="store_true",
                         help="omit wall-clock fields for byte-identical reruns")
     sub = parser.add_subparsers(dest="command", required=True)

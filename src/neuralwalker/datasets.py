@@ -53,6 +53,10 @@ class TaskDataset:
             raise ParseError(f"unknown task {self.task!r}")
         if len(self.graphs) != len(self.targets):
             raise ParseError("graphs and targets differ in length")
+        labels = np.asarray(self.targets)
+        if self.task == "classification" and labels.size and (
+                labels.min() < 0 or labels.max() >= self.n_classes):
+            raise ParseError(f"class labels must lie in [0, {self.n_classes})")
         for name, idx in self.splits.items():
             idx = np.asarray(idx)
             if idx.size and (idx.min() < 0 or idx.max() >= len(self.graphs)):
@@ -148,6 +152,12 @@ def save_dataset(dataset: TaskDataset, directory: str) -> None:
         fh.write("\n")
 
 
+def _list_of(value, kinds) -> bool:
+    """True when ``value`` is a list of ``kinds`` values, booleans excluded."""
+    return isinstance(value, list) and all(
+        isinstance(v, kinds) and not isinstance(v, bool) for v in value)
+
+
 def load_dataset(directory: str) -> TaskDataset:
     path = os.path.join(directory, "dataset.json")
     try:
@@ -156,14 +166,26 @@ def load_dataset(directory: str) -> TaskDataset:
         raise ParseError(f"no dataset.json in {directory}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad dataset.json: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ParseError("dataset.json must be a JSON object")
     for key in ("name", "task", "graphs", "targets", "splits"):
         if key not in manifest:
             raise ParseError(f"dataset.json missing key {key!r}")
+    splits, n_classes = manifest["splits"], manifest.get("n_classes", 2)
+    classify = manifest["task"] == "classification"
+    for key, ok in (("name", isinstance(manifest["name"], str)),
+                    ("task", isinstance(manifest["task"], str)),
+                    ("graphs", _list_of(manifest["graphs"], str)),
+                    ("targets", _list_of(manifest["targets"], int if classify else (int, float))),
+                    ("splits", isinstance(splits, dict)
+                     and all(_list_of(v, int) for v in splits.values())),
+                    ("n_classes", _list_of([n_classes], int))):
+        if not ok:
+            raise ParseError(f"dataset.json {key!r} has the wrong type")
     graphs = [load_graph(os.path.join(directory, fname))
               for fname in manifest["graphs"]]
-    dtype = np.int64 if manifest["task"] == "classification" else np.float64
-    targets = np.array(manifest["targets"], dtype=dtype)
-    splits = {k: np.array(v, dtype=np.int64) for k, v in manifest["splits"].items()}
+    targets = np.array(manifest["targets"], dtype=np.int64 if classify else np.float64)
+    splits = {k: np.array(v, dtype=np.int64) for k, v in splits.items()}
     return TaskDataset(name=manifest["name"], task=manifest["task"],
                        graphs=graphs, targets=targets, splits=splits,
-                       n_classes=int(manifest.get("n_classes", 2)))
+                       n_classes=n_classes)

@@ -9,8 +9,10 @@ Blocks repeat this pipeline; a pooling + linear head reads out predictions.
 
 Graphs are processed as packed disjoint unions: a mini-batch is one
 block-diagonal graph plus per-node graph ids, so aggregation, virtual nodes,
-attention masks, pooling, and normalization constants are all segment
-operations. A single graph is a batch of one.
+pooling, and normalization constants are all segment operations. The global
+transformer instead pads each graph's nodes to one (G, n_max, d) batch and
+runs the walk attention block on it, with padded keys masked. A single graph
+is a batch of one.
 
 Skip-connection guarantee: the aggregation update is
 ``h <- h_prev + visited * LN(agg)`` with a 0/1 visited gate, so a node (or
@@ -22,16 +24,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .encoding import encode_batch
-from .errors import ParseError, ShapeError, Unsupported
+from .errors import (BadHeads, BadKernel, BadLength, BadSchedule, BadWindow, ParseError,
+                     SamplerError, ShapeError, TooManyWalks, Unsupported)
 from .graphs import Graph, disjoint_union
 from .sampling import WalkBatch, child_seeds, _distinct_starts, _run_walks
-from .seqlayers import make_seq_layer
+from .seqlayers import SEQ_LAYER_KINDS, attention_block, make_seq_layer
 
 __all__ = [
     "ModelConfig",
@@ -53,6 +57,25 @@ __all__ = [
 # =============================================================================
 # Configuration
 # =============================================================================
+
+# Field annotation (a string, under postponed evaluation) -> accepted value type.
+_FIELD_TYPES = {"int": Integral, "float": Real, "bool": bool, "str": str}
+_CHOICES = {"seq_layer": SEQ_LAYER_KINDS, "local_mp": ("gin", "none"),
+            "global_mp": ("virtual_node", "transformer", "none"),
+            "pooling": ("mean", "sum", "none"), "head": ("none", "regression", "classification"),
+            "start_distribution": ("uniform", "stationary"),
+            "normalization": ("visits", "constant")}
+# field -> (smallest allowed value, error raised below it)
+_MINIMUM = {
+    "hidden_dim": (1, ShapeError), "n_blocks": (0, ShapeError), "kernel": (1, BadKernel),
+    "heads": (1, BadHeads), "state": (1, ShapeError), "n_classes": (1, ShapeError),
+    "out_dim": (1, ShapeError), "node_dim": (0, ShapeError), "edge_dim": (0, ShapeError),
+    "walk_length": (1, BadLength), "window": (1, BadWindow), "epochs": (0, BadSchedule),
+    "batch_size": (1, BadSchedule), "base_lr": (0, BadSchedule),
+    "weight_decay": (0, BadSchedule), "warmup_epochs": (0, BadSchedule),
+    "seed": (0, SamplerError),
+}
+
 
 @dataclass
 class ModelConfig:
@@ -92,18 +115,27 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.seq_layer not in ("conv", "attention", "s4", "selective"):
-            raise Unsupported(f"unknown seq_layer {self.seq_layer!r}")
-        if self.local_mp not in ("gin", "none"):
-            raise Unsupported(f"unknown local_mp {self.local_mp!r}")
-        if self.global_mp not in ("virtual_node", "transformer", "none"):
-            raise Unsupported(f"unknown global_mp {self.global_mp!r}")
-        if self.pooling not in ("mean", "sum", "none"):
-            raise Unsupported(f"unknown pooling {self.pooling!r}")
-        if self.head not in ("none", "regression", "classification"):
-            raise Unsupported(f"unknown head {self.head!r}")
-        if self.normalization not in ("visits", "constant"):
-            raise Unsupported(f"unknown normalization {self.normalization!r}")
+        """Check each field's type, then its choices or range. A wrong type
+        raises ParseError; a bad value raises the error the layer, sampler,
+        encoder or optimizer that uses it raises."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) != (f.type == "bool")
+                    or not isinstance(value, _FIELD_TYPES[f.type])):
+                raise ParseError(f"config field {f.name} must be {f.type}, got {value!r}")
+            if f.name in _CHOICES and value not in _CHOICES[f.name]:
+                raise Unsupported(f"unknown {f.name} {value!r}")
+            low, error = _MINIMUM.get(f.name, (None, None))
+            if low is not None and not low <= value < np.inf:
+                raise error(f"config field {f.name} must be finite and >= {low}, got {value!r}")
+        for name in ("rate", "eval_rate"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise TooManyWalks(f"{name} must be in (0, 1], got {getattr(self, name)}")
+        if self.seq_layer == "conv" and self.kernel % 2 == 0:
+            raise BadKernel(f"conv kernel must be odd and positive, got {self.kernel}")
+        attends = self.seq_layer == "attention" or self.global_mp == "transformer"
+        if attends and self.hidden_dim % self.heads:
+            raise BadHeads(f"width {self.hidden_dim} not divisible by {self.heads} heads")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -292,24 +324,24 @@ def global_mp_virtual_node(h_v: Tensor, star_prev: Tensor, graph_ids: np.ndarray
 def global_mp_transformer(h_v: Tensor, graph_ids: np.ndarray, heads: int,
                           params: dict, prefix: str) -> Tensor:
     """Transformer update over the nodes of each graph:
-    ``h' = h + Attn(h); out = h' + FFN(h')`` with cross-graph attention
-    blocked by an additive mask."""
+    ``h' = h + Attn(h); out = h' + FFN(h')``. The pack becomes a (G, n_max, d)
+    batch with one graph per row; padding repeats node 0, is masked as keys
+    and dropped from the output. An empty pack is returned unchanged."""
     n, d = h_v.shape
-    if d % heads != 0:
-        raise ShapeError(f"width {d} not divisible by {heads} heads")
-    dh = d // heads
-    x = ad.reshape(h_v, (1, n, d))
-    q = ad.transpose(ad.reshape(_linear(x, params, f"{prefix}.attn_q"), (1, n, heads, dh)), (0, 2, 1, 3))
-    k = ad.transpose(ad.reshape(_linear(x, params, f"{prefix}.attn_k"), (1, n, heads, dh)), (0, 2, 1, 3))
-    v = ad.transpose(ad.reshape(_linear(x, params, f"{prefix}.attn_v"), (1, n, heads, dh)), (0, 2, 1, 3))
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    block = np.where(graph_ids[:, None] == graph_ids[None, :], 0.0, -1e30)
-    scores = ad.add(scores, Tensor(np.broadcast_to(block, (1, heads, n, n)).copy()))
-    ctx = ad.matmul(ad.softmax(scores, axis=-1), v)
-    ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (n, d))
-    attn_out = _linear(ctx, params, f"{prefix}.attn_o")
-    h_mid = ad.add(h_v, attn_out)
-    return ad.add(h_mid, _mlp(h_mid, params, f"{prefix}.attn_ffn"))
+    if n == 0:
+        return h_v
+    gids = np.asarray(graph_ids, dtype=np.int64)
+    counts = np.bincount(gids)
+    mask = np.arange(counts.max()) < counts[:, None]        # (G, n_max)
+    order = np.argsort(gids, kind="stable")
+    index = np.zeros(mask.shape, dtype=np.int64)
+    index[mask] = order
+    flat = np.empty(n, dtype=np.int64)                      # node -> row of the batch
+    flat[order] = np.flatnonzero(mask)
+    linears = [(params[f"{prefix}.attn_{r}.w"], params[f"{prefix}.attn_{r}.b"])
+               for r in ("q", "k", "v", "o", "ffn.0", "ffn.1")]
+    out = attention_block(ad.gather_rows(h_v, index), mask, heads, linears)
+    return ad.gather_rows(ad.reshape(out, (mask.size, d)), flat)
 
 
 # =============================================================================

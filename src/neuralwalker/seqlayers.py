@@ -5,6 +5,8 @@ pad mask, and is mask-neutral: inputs at masked positions are zeroed on entry
 (so their original values can never leak into real positions) and outputs at
 masked positions are zeroed on exit. Attention additionally removes masked
 keys with an additive -1e30 score so real queries never average over padding.
+Its :func:`attention_block` is also the global transformer of
+:mod:`neuralwalker.model`, run there on each graph's padded node sequence.
 
 Kinds:
 
@@ -29,6 +31,7 @@ from .errors import BadHeads, BadKernel, BadTimestep, ShapeError, Unsupported
 __all__ = [
     "ConvLayer",
     "AttentionLayer",
+    "attention_block",
     "S4Layer",
     "SelectiveLayer",
     "Bidirectional",
@@ -94,15 +97,36 @@ class ConvLayer(_ParamHolder):
 # Attention
 # =============================================================================
 
+def attention_block(x: Tensor, mask: np.ndarray, heads: int, linears) -> Tensor:
+    """One transformer block on a padded (m, T, d) batch: ``h = x + Attn(x)``,
+    then ``h + FFN(h)``. ``linears`` holds the (weight, bias) pairs of the q, k,
+    v and output projections and of the ReLU FFN's two layers. Keys where
+    ``mask`` (m, T) is False score -1e30; padded outputs are not zeroed."""
+    m, T, d = x.shape
+    dh = d // heads
+
+    def linear(t: Tensor, i: int) -> Tensor:
+        return ad.add(ad.matmul(t, linears[i][0]), linears[i][1])
+
+    q, k, v = (ad.transpose(ad.reshape(linear(x, i), (m, T, heads, dh)), (0, 2, 1, 3))
+               for i in range(3))
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    key_bias = np.where(mask, 0.0, -1e30)[:, None, None, :]
+    scores = ad.add(scores, Tensor(np.broadcast_to(key_bias, (m, heads, T, T)).copy()))
+    ctx = ad.matmul(ad.softmax(scores, axis=-1), v)
+    h = ad.add(x, linear(ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (m, T, d)), 3))
+    return ad.add(h, linear(ad.relu(linear(h, 4)), 5))
+
+
 class AttentionLayer(_ParamHolder):
-    """Self-attention + FFN, both residual (transformer-style)."""
+    """Self-attention + FFN, both residual (transformer-style):
+    :func:`attention_block` between two pad masks."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         super().__init__()
         if dim % heads != 0:
             raise BadHeads(f"width {dim} not divisible by {heads} heads")
         self.dim, self.heads = dim, heads
-        self.head_dim = dim // heads
         for name in ("wq", "wk", "wv", "wo"):
             self._add(name, ad.param_uniform(rng, (dim, dim)))
         for name in ("bq", "bk", "bv", "bo"):
@@ -113,38 +137,10 @@ class AttentionLayer(_ParamHolder):
         self._add("w2", ad.param_uniform(rng, (ff, dim)))
         self._add("b2", ad.param_zeros((dim,)))
 
-    def _split_heads(self, t: Tensor, m: int, T: int) -> Tensor:
-        t = ad.reshape(t, (m, T, self.heads, self.head_dim))
-        return ad.transpose(t, (0, 2, 1, 3))
-
-    def attend(self, x: Tensor, mask: np.ndarray) -> Tensor:
-        """The attention sub-block alone: softmax(q k^T / sqrt(dh)) v, merged
-        across heads through the output projection."""
-        m, T, _ = x.shape
-        p = self.params
-        q = self._split_heads(ad.add(ad.matmul(x, p["wq"]), p["bq"]), m, T)
-        k = self._split_heads(ad.add(ad.matmul(x, p["wk"]), p["bk"]), m, T)
-        v = self._split_heads(ad.add(ad.matmul(x, p["wv"]), p["bv"]), m, T)
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
-                          1.0 / np.sqrt(self.head_dim))
-        key_bias = np.where(mask, 0.0, -1e30)[:, None, None, :]
-        scores = ad.add(scores, Tensor(np.broadcast_to(
-            key_bias, (m, self.heads, T, T)).copy()))
-        weights = ad.softmax(scores, axis=-1)
-        ctx = ad.matmul(weights, v)
-        ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (m, T, self.dim))
-        return ad.add(ad.matmul(ctx, p["wo"]), p["bo"])
-
-    def _ffn(self, x: Tensor) -> Tensor:
-        p = self.params
-        hidden = ad.relu(ad.add(ad.matmul(x, p["w1"]), p["b1"]))
-        return ad.add(ad.matmul(hidden, p["w2"]), p["b2"])
-
     def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
-        xm = _masked(x, mask)
-        h = ad.add(xm, self.attend(xm, mask))
-        out = ad.add(h, self._ffn(h))
-        return _masked(out, mask)
+        p = self.params
+        linears = [(p[f"w{r}"], p[f"b{r}"]) for r in ("q", "k", "v", "o", "1", "2")]
+        return _masked(attention_block(_masked(x, mask), mask, self.heads, linears), mask)
 
 
 # =============================================================================

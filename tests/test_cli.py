@@ -389,3 +389,69 @@ def test_module_entry_point_runs_as_subprocess(tmp_path):
     assert proc.returncode == 0
     first = json.loads(proc.stdout.strip().splitlines()[0])
     assert first["triangles"] == 4
+
+
+def test_transformer_forward_on_an_empty_graph_exits_0(capsys, tmp_path):
+    graph_path = tmp_path / "empty.graph"
+    graph_path.write_text("graph 0 1 0 0\n")
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps({"global_mp": "transformer", "head": "regression"}))
+    code, out = run_cli(capsys, ["--no-timing", "forward", "--graph", str(graph_path),
+                                 "--config", str(config)])
+    assert code == 0
+    record = parse_lines(out)[0]
+    assert record["n_nodes"] == 0 and record["prediction"] == [0.0]
+
+
+@pytest.mark.parametrize("fields, error", [
+    ({"hidden_dim": "x"}, "ParseError"),
+    ({"n_blocks": 2.5}, "ParseError"),
+    ({"bidirectional": 1}, "ParseError"),
+    ({"rate": True}, "ParseError"),
+    ({"seq_layer": 3}, "ParseError"),
+    ({"n_blocks": -1}, "ShapeError"),
+    ({"hidden_dim": 0}, "ShapeError"),
+    ({"window": 0}, "BadWindow"),
+    ({"walk_length": 0}, "BadLength"),
+    ({"rate": -1.0}, "TooManyWalks"),
+    ({"rate": 7.0}, "TooManyWalks"),
+    ({"eval_rate": 0.0}, "TooManyWalks"),
+    ({"base_lr": float("nan")}, "BadSchedule"),
+    ({"seed": -1}, "SamplerError"),
+    ({"kernel": 4}, "BadKernel"),
+    ({"global_mp": "transformer", "hidden_dim": 6, "heads": 4}, "BadHeads"),
+    ({"start_distribution": "degree"}, "Unsupported"),
+])
+def test_config_with_a_bad_value_exits_3(capsys, tmp_path, k3_path, fields, error):
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps({"hidden_dim": 8, "n_blocks": 1, **fields}))
+    code, out = run_cli(capsys, ["forward", "--graph", k3_path, "--config", str(config)])
+    assert code == 3
+    assert parse_lines(out)[0]["error"] == error
+
+
+@pytest.mark.parametrize("fields", [
+    {"graphs": 3},
+    {"splits": [1, 2]},
+    {"splits": {"train": [0.5]}},
+    {"n_classes": "x"},
+    {"targets": "abc"},
+    {"targets": [0.5, 1, 0, 1]},
+    {"targets": [5, 1, 0, 1]},
+    {"n_classes": 1},
+    {"name": None},
+])
+def test_dataset_json_with_a_bad_field_type_exits_3(capsys, tmp_path, fields):
+    from neuralwalker.datasets import make_cycle_path_dataset, save_dataset
+    data_dir = tmp_path / "data"
+    save_dataset(make_cycle_path_dataset(seed=0, n_train=2, n_val=1, n_test=1,
+                                         min_nodes=4, max_nodes=5), str(data_dir))
+    manifest = json.loads((data_dir / "dataset.json").read_text())
+    (data_dir / "dataset.json").write_text(json.dumps({**manifest, **fields}))
+    _assert_parse_error(capsys, ["train", "--data", str(data_dir), "--epochs", "1"])
+
+
+def test_threads_flag_is_gone(capsys, k3_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "sample", "--graph", k3_path, "--length", "2"])
+    assert exc.value.code == 2

@@ -388,6 +388,28 @@ def test_transformer_blocks_cross_graph_attention():
     assert np.abs(out1[2:] - out2[2:]).max() > 1e-3
 
 
+def test_transformer_pack_equals_per_graph_calls():
+    # Unequal sizes: three of the four rows of the (4, 12) batch end in padding.
+    rng = np.random.default_rng(11)
+    d = 8
+    params = _transformer_params(d, rng)
+    sizes = [1, 3, 9, 12]
+    gids = np.repeat(np.arange(len(sizes)), sizes)
+    h = rng.standard_normal((gids.size, d))
+    packed = global_mp_transformer(Tensor(h), gids, 2, params, "blk").data
+    for g in range(len(sizes)):
+        rows = gids == g
+        alone = global_mp_transformer(Tensor(h[rows]), np.zeros(sizes[g], dtype=np.int64),
+                                      2, params, "blk").data
+        assert np.abs(packed[rows] - alone).max() < 1e-12
+
+
+def test_transformer_passes_an_empty_pack_through():
+    params = _transformer_params(4, np.random.default_rng(12))
+    h = Tensor(np.zeros((0, 4)))
+    assert global_mp_transformer(h, np.zeros(0, dtype=np.int64), 2, params, "blk") is h
+
+
 # -----------------------------------------------------------------------------
 # Full forward pass
 # -----------------------------------------------------------------------------

@@ -18,6 +18,14 @@ Kinds:
 
 ``bidirectional=True`` wraps a kind with independent forward/backward copies
 and averages the two directions.
+
+In inference mode the two state-space kinds run their (walks, T, d, N) chain
+-- discretization, scan over time and the C.h readout -- in blocks of walks
+sized at about 1 MiB per array, so the chain works in cache. Input mask,
+projections, gate and output mask run on the whole batch, and so does the
+whole chain while a tape records. Every step of the chain acts on one walk,
+so each walk's output bits do not depend on the block boundaries or on the
+walk count.
 """
 
 from __future__ import annotations
@@ -147,6 +155,29 @@ class AttentionLayer(_ParamHolder):
 # State-space layers
 # =============================================================================
 
+# A walk block holds about this many bytes per (k, T, d, N) float64 array, so
+# the state-space chain works in cache instead of on whole-batch temporaries.
+_BLOCK_BYTES = 1 << 20
+
+
+def _walk_blocks(chain, tensors, per_walk: int) -> Tensor:
+    """``chain(*tensors)`` run on blocks of walks (axis 0) and joined again.
+
+    ``per_walk`` is the element count of one walk's slice of the chain's
+    largest array. Every step of ``chain`` must act on each walk alone, so the
+    output bits do not depend on where the blocks are cut. While a tape
+    records, the chain runs on the whole batch: the tape keeps every block's
+    temporaries for the backward pass anyway, and each slice's VJP would
+    return a whole-batch buffer, a cost that grows with blocks x walks.
+    """
+    m = tensors[0].shape[0]
+    k = max(1, _BLOCK_BYTES // (8 * per_walk))
+    if m <= k or ad._active_tape() is not None:
+        return chain(*tensors)
+    return ad.concat([chain(*(ad.slice_axis(t, 0, lo, min(lo + k, m)) for t in tensors))
+                      for lo in range(0, m, k)], axis=0)
+
+
 def _scan_time(a: Tensor, b: Tensor, m: int, T: int, d: int, n: int) -> Tensor:
     """Run the linear recurrence over (m, T, d, n) by flattening channels."""
     flat_a = ad.reshape(a, (m, T, d * n))
@@ -159,7 +190,10 @@ class S4Layer(_ParamHolder):
     """Diagonal SSM: h_t = exp(delta*A) h_{t-1} + ZOH(delta, A, B) x_t, y = C h.
 
     ``A`` starts at -(1 + arange(N)) on every channel; ``delta`` is stored as
-    its log, initialized log-uniformly in [1e-3, 1e-1].
+    its log, initialized log-uniformly in [1e-3, 1e-1]. ``A_bar`` and
+    ``B_bar`` are discretized once per call; without a tape the (walks, T, d, N)
+    chain runs in walk blocks of about 1 MiB per array, and each walk's output
+    bits do not depend on the block boundaries or the walk count.
     """
 
     def __init__(self, dim: int, state: int, rng: np.random.Generator):
@@ -199,15 +233,19 @@ class S4Layer(_ParamHolder):
 
     def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
         xm = _masked(x, mask)
-        m, T, d = xm.shape
+        _, T, d = xm.shape
         n = self.state
         a_bar, b_bar = self._discretize()
-        a_full = ad.expand(ad.reshape(a_bar, (1, 1, d, n)), (m, T, d, n))
-        x_col = ad.expand(ad.reshape(xm, (m, T, d, 1)), (m, T, d, n))
-        b_full = ad.mul(x_col, b_bar)                      # (m,T,d,N) suffix (d,N)
-        h = _scan_time(a_full, b_full, m, T, d, n)
-        y = ad.reduce_sum(ad.mul(h, self.c), axis=-1)      # C h, per channel
-        return _masked(y, mask)
+
+        def chain(xk: Tensor) -> Tensor:
+            k = xk.shape[0]
+            a_full = ad.expand(ad.reshape(a_bar, (1, 1, d, n)), (k, T, d, n))
+            x_col = ad.expand(ad.reshape(xk, (k, T, d, 1)), (k, T, d, n))
+            b_full = ad.mul(x_col, b_bar)                  # (k,T,d,N) suffix (d,N)
+            h = _scan_time(a_full, b_full, k, T, d, n)
+            return ad.reduce_sum(ad.mul(h, self.c), axis=-1)  # C h, per channel
+
+        return _masked(_walk_blocks(chain, (xm,), T * d * n), mask)
 
 
 class SelectiveLayer(_ParamHolder):
@@ -217,7 +255,10 @@ class SelectiveLayer(_ParamHolder):
     C_t = x W_c + b_c (shared across channels); gate z_t = silu(x W_z + b_z);
     y_t = (C_t . h_t) * z_t. Freezing the projection weights to zero (biases
     carrying the constants) makes the recurrence identical to
-    :class:`S4Layer` with broadcast B/C.
+    :class:`S4Layer` with broadcast B/C. The projections and the gate run on
+    the whole batch; without a tape the (walks, T, d, N) chain from delta, B_t
+    and C_t to C_t . h_t runs in walk blocks of about 1 MiB per array, and each
+    walk's output bits do not depend on the block boundaries or the walk count.
     """
 
     def __init__(self, dim: int, state: int, rng: np.random.Generator):
@@ -238,7 +279,7 @@ class SelectiveLayer(_ParamHolder):
 
     def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
         xm = _masked(x, mask)
-        m, T, d = xm.shape
+        _, T, d = xm.shape
         n = self.state
         p = self.params
         delta = ad.softplus(ad.add(ad.matmul(xm, p["w_delta"]), p["b_delta"]))  # (m,T,d)
@@ -246,15 +287,19 @@ class SelectiveLayer(_ParamHolder):
         c_t = ad.add(ad.matmul(xm, p["w_c"]), p["b_c"])                         # (m,T,N)
         gate = ad.silu(ad.add(ad.matmul(xm, p["w_gate"]), p["b_gate"]))         # (m,T,d)
 
-        delta4 = ad.expand(ad.reshape(delta, (m, T, d, 1)), (m, T, d, n))
-        z = ad.mul(delta4, self.a)                 # (m,T,d,N), A broadcast as suffix
-        a_bar = ad.exp(z)
-        b4 = ad.expand(ad.reshape(b_t, (m, T, 1, n)), (m, T, d, n))
-        x4 = ad.expand(ad.reshape(xm, (m, T, d, 1)), (m, T, d, n))
-        b_bar_x = ad.mul(ad.mul(ad.mul(delta4, ad.zoh_phi(z)), b4), x4)
-        h = _scan_time(a_bar, b_bar_x, m, T, d, n)
-        c4 = ad.expand(ad.reshape(c_t, (m, T, 1, n)), (m, T, d, n))
-        y = ad.reduce_sum(ad.mul(h, c4), axis=-1)  # (m,T,d)
+        def chain(xk: Tensor, delta_k: Tensor, b_k: Tensor, c_k: Tensor) -> Tensor:
+            k = xk.shape[0]
+            delta4 = ad.expand(ad.reshape(delta_k, (k, T, d, 1)), (k, T, d, n))
+            z = ad.mul(delta4, self.a)             # (k,T,d,N), A broadcast as suffix
+            a_bar = ad.exp(z)
+            b4 = ad.expand(ad.reshape(b_k, (k, T, 1, n)), (k, T, d, n))
+            x4 = ad.expand(ad.reshape(xk, (k, T, d, 1)), (k, T, d, n))
+            b_bar_x = ad.mul(ad.mul(ad.mul(delta4, ad.zoh_phi(z)), b4), x4)
+            h = _scan_time(a_bar, b_bar_x, k, T, d, n)
+            c4 = ad.expand(ad.reshape(c_k, (k, T, 1, n)), (k, T, d, n))
+            return ad.reduce_sum(ad.mul(h, c4), axis=-1)  # (k,T,d)
+
+        y = _walk_blocks(chain, (xm, delta, b_t, c_t), T * d * n)
         return _masked(ad.mul(y, gate), mask)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
 from .datasets import TaskDataset
-from .errors import ParseError, ShapeError, TensorError
+from .errors import BadSchedule, ParseError, ShapeError, TensorError
 from .graphs import _read_text
 from .model import Model, ModelConfig, pack_graphs
 from .optim import AdamW, warmup_cosine_lr
@@ -140,7 +140,16 @@ def train_model(model: Model, dataset: TaskDataset, log_fn=None,
     / at most, depending on the task's direction). ``log_fn`` receives each
     history entry as it is produced. The best-validation parameter snapshot is
     kept and restored into the model at the end.
+
+    Raises
+    ------
+    BadSchedule
+        If ``eval_every`` is below 1 or ``target_value`` is NaN.
     """
+    if eval_every < 1:
+        raise BadSchedule(f"eval_every must be at least 1, got {eval_every}")
+    if target_value is not None and np.isnan(target_value):
+        raise BadSchedule("target_value is NaN, which no metric can reach")
     cfg = model.config
     epochs = cfg.epochs if max_epochs is None else max_epochs
     train_graphs, train_targets = dataset.subset("train")

@@ -367,6 +367,22 @@ def test_train_eval_forward_round_trip(capsys, tmp_path, config_path):
     assert parse_lines(out)[0]["kind"] == "forward"
 
 
+@pytest.mark.parametrize("flags", [["--eval-every", "0"], ["--eval-every", "-1"],
+                                   ["--target", "nan"]])
+def test_train_with_a_schedule_it_cannot_follow_exits_3(capsys, tmp_path, config_path,
+                                                        flags):
+    from neuralwalker.datasets import make_cycle_path_dataset, save_dataset
+    data_dir = str(tmp_path / "data")
+    save_dataset(make_cycle_path_dataset(seed=0, n_train=4, n_val=2, n_test=2,
+                                         min_nodes=4, max_nodes=5), data_dir)
+    code, out = run_cli(capsys, ["train", "--data", data_dir, "--config", config_path,
+                                 "--epochs", "2", *flags])
+    assert code == 3
+    records = parse_lines(out)
+    assert [r["kind"] for r in records] == ["error"]
+    assert records[0]["error"] == "BadSchedule"
+
+
 def test_data_command_materializes_dataset(capsys, tmp_path):
     out_dir = str(tmp_path / "ds")
     code, out = run_cli(capsys, ["--no-timing", "data", "--task", "cycle_path",

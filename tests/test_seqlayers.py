@@ -1,5 +1,7 @@
 """Sequence-layer tests: shapes, masking, closed forms, and reductions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from neuralwalker.autodiff import Tape, Tensor, backward
 from neuralwalker.errors import BadHeads, BadKernel, BadTimestep, Unsupported
 from neuralwalker.optim import AdamW
 from neuralwalker.seqlayers import (
+    _BLOCK_BYTES,
     SEQ_LAYER_KINDS,
     AttentionLayer,
     Bidirectional,
@@ -326,3 +329,106 @@ def test_layer_parameter_gradients(kind):
         return ad.reduce_sum(ad.mul(layer(x, mask), Tensor(weights)))
 
     fd_gradcheck(loss, layer.params, n_probes=25, seed=kind.__hash__() % 997)
+
+
+# -----------------------------------------------------------------------------
+# Walk blocks of the state-space chain
+# -----------------------------------------------------------------------------
+
+# T = d = N = 8 is 4 KiB of float64 per walk in each (k, T, d, N) array.
+_BT = _BD = _BN = 8
+_BLOCK = _BLOCK_BYTES // (8 * _BT * _BD * _BN)
+# Less than a block, exactly one, one block and a walk, and >= 3 blocks with a
+# partial last block.
+_WALK_COUNTS = (1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + _BLOCK // 3)
+
+
+def _block_case(kind, bidirectional):
+    m = _WALK_COUNTS[-1]
+    layer = _layer(kind, dim=_BD, state=_BN, seed=31, bidirectional=bidirectional)
+    for name, t in layer.params.items():
+        if name.endswith("b_gate"):
+            t.data[:] = 0.5  # open the gate off the silu kink
+    rng = np.random.default_rng(32)
+    x = Tensor(rng.standard_normal((m, _BT, _BD)), requires_grad=True)
+    # Every walk keeps its start; about half are masked after it.
+    real = np.where(rng.random(m) < 0.5, _BT, rng.integers(1, _BT, size=m))
+    mask = np.arange(_BT)[None, :] < real[:, None]
+    return layer, x, mask
+
+
+def _block_sizes(monkeypatch) -> list:
+    """Record the walk count of every block that ``ad.concat`` joins."""
+    joined = []
+    concat = ad.concat
+
+    def spy(tensors, axis=-1):
+        tensors = list(tensors)
+        joined.append([t.shape[0] for t in tensors])
+        return concat(tensors, axis=axis)
+    monkeypatch.setattr(ad, "concat", spy)
+    return joined
+
+
+def test_walk_counts_span_the_block_cuts():
+    assert _BLOCK == 256
+    assert [-(-m // _BLOCK) for m in _WALK_COUNTS] == [1, 1, 2, 3]
+    assert _WALK_COUNTS[-1] % _BLOCK != 0
+
+
+@pytest.mark.parametrize("kind", ["s4", "selective"])
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_blocked_forward_bits_equal_one_walk_calls(kind, bidirectional, monkeypatch):
+    layer, x, mask = _block_case(kind, bidirectional)
+    one_walk = np.concatenate([layer(Tensor(x.data[i:i + 1]), mask[i:i + 1]).data
+                               for i in range(x.shape[0])])
+    joined = _block_sizes(monkeypatch)
+    for m in _WALK_COUNTS:
+        joined.clear()
+        out = layer(Tensor(x.data[:m]), mask[:m]).data
+        assert out.shape == (m, _BT, _BD)
+        assert out.tobytes() == one_walk[:m].tobytes(), m
+        n_blocks = -(-m // _BLOCK)
+        want = [] if n_blocks == 1 else [[_BLOCK] * (n_blocks - 1) + [m - (n_blocks - 1) * _BLOCK]]
+        assert joined == want * (2 if bidirectional else 1)
+
+
+@pytest.mark.parametrize("kind,bidirectional",
+                         [("s4", False), ("selective", False), ("selective", True)])
+def test_blocked_layer_gradients(kind, bidirectional):
+    layer, x, mask = _block_case(kind, bidirectional)
+    weights = Tensor(np.random.default_rng(33).standard_normal(x.shape))
+
+    def loss():
+        return ad.reduce_sum(ad.mul(layer(x, mask), weights))
+
+    # The tape computes the gradient as one block; the finite differences run
+    # untaped, so through the blocks.
+    fd_gradcheck(loss, {**layer.params, "x": x}, n_probes=30, seed=34)
+
+
+@pytest.mark.parametrize("kind", ["s4", "selective"])
+def test_taped_calls_run_the_chain_as_one_block(kind, monkeypatch):
+    layer, x, mask = _block_case(kind, False)
+    blocked = layer(x, mask).data
+    joined = _block_sizes(monkeypatch)
+    with Tape():
+        taped = layer(x, mask).data
+    assert joined == []
+    assert taped.tobytes() == blocked.tobytes()
+
+
+@pytest.mark.parametrize("kind,limit_mib", [("selective", 32), ("s4", 16)])
+def test_state_space_forward_memory_peak(kind, limit_mib):
+    # The eval_ssm shape: 512 walks x 21 steps x 24 channels x 16 states is
+    # 33 MB per (m, T, d, N) float64 array when the chain runs on all walks.
+    layer = _layer(kind, dim=24, state=16, seed=35)
+    x = _input(512, 21, 24, seed=36)
+    mask = np.ones((512, 21), dtype=bool)
+    tracemalloc.start()
+    try:
+        layer(x, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20, f"{kind} forward peaked at {peak / 2**20:.1f} MiB"

@@ -5,7 +5,7 @@ import pytest
 
 from neuralwalker.autodiff import Tensor
 from neuralwalker.datasets import make_cycle_path_dataset, make_triangle_count_dataset
-from neuralwalker.errors import ParseError, ShapeError, TensorError
+from neuralwalker.errors import BadSchedule, ParseError, ShapeError, TensorError
 from neuralwalker.model import Model, ModelConfig
 from neuralwalker.training import (
     classification_loss,
@@ -110,6 +110,14 @@ def test_training_aborts_on_non_finite_loss():
     model.params["head.w"].data *= 1e200
     with pytest.raises(TensorError, match="non-finite"):
         train_model(model, dataset)
+
+
+@pytest.mark.parametrize("kwargs", [{"eval_every": 0}, {"eval_every": -1},
+                                    {"target_value": float("nan")}])
+def test_training_rejects_a_schedule_it_cannot_follow(kwargs):
+    model = Model(_config())
+    with pytest.raises(BadSchedule):
+        train_model(model, _small_dataset(), **kwargs)
 
 
 def test_max_epochs_overrides_config():

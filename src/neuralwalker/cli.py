@@ -6,7 +6,7 @@ Reruns of the same command with the same inputs and ``--no-timing`` produce
 byte-identical stdout.
 
 Exit codes: 0 success, 2 usage error (argparse), 3 data or model error,
-4 resource guard tripped.
+4 resource guard tripped or an allocation failed.
 
 The ``NW_SEED`` environment variable, when set, overrides ``--seed``.
 """
@@ -24,7 +24,7 @@ import numpy as np
 
 from .datasets import TASK_BUILDERS, load_dataset, make_dataset, save_dataset
 from .encoding import walk_feature_matrix
-from .errors import GuardError, NeuralWalkerError
+from .errors import GuardError, NeuralWalkerError, ParseError
 from .graphs import _read_text, load_graph, random_regular_graph
 from .model import Model, ModelConfig
 from .oracle import (enumerate_walks, exact_expectation, separation_witness,
@@ -241,23 +241,34 @@ def _cmd_data(args) -> list[str]:
 
 
 def _parse_sweep(text: str) -> tuple[list[float], list[int]]:
-    """Parse ``"rate=0.1,0.5,1.0;length=25,50,100"`` into value lists."""
+    """Parse ``"rate=0.1,0.5,1.0;length=25,50,100"`` into value lists.
+
+    Raises
+    ------
+    ParseError
+        For an unknown axis or a value that does not parse as the axis' type.
+    """
     rates, lengths = [], []
     for part in text.split(";"):
         part = part.strip()
         if not part:
             continue
         key, _, values = part.partition("=")
-        if key == "rate":
-            rates = [float(v) for v in values.split(",") if v]
-        elif key == "length":
-            lengths = [int(v) for v in values.split(",") if v]
-        else:
-            raise NeuralWalkerError(f"unknown sweep axis {key!r} (rate, length)")
+        try:
+            if key == "rate":
+                rates = [float(v) for v in values.split(",") if v]
+            elif key == "length":
+                lengths = [int(v) for v in values.split(",") if v]
+            else:
+                raise ParseError(f"unknown sweep axis {key!r} (rate, length)")
+        except ValueError:
+            raise ParseError(f"sweep axis {key!r} has a malformed value in {values!r}") from None
     return rates, lengths
 
 
 def _cmd_bench(args) -> list[str]:
+    if args.repeats < 1:
+        raise NeuralWalkerError(f"--repeats must be >= 1, got {args.repeats}")
     seed = _resolve_seed(args)
     if args.graph:
         graph = load_graph(args.graph)
@@ -410,6 +421,10 @@ def main(argv=None) -> int:
         outputs = args.func(args)
     except GuardError as exc:
         _emit({"kind": "error", "error": type(exc).__name__, "message": str(exc)})
+        return 4
+    except MemoryError as exc:
+        # numpy raises a private subclass; report the public name.
+        _emit({"kind": "error", "error": "MemoryError", "message": str(exc)})
         return 4
     except (NeuralWalkerError, OSError) as exc:
         _emit({"kind": "error", "error": type(exc).__name__, "message": str(exc)})

@@ -12,8 +12,11 @@ pad-masked position are zero. The window ``s`` bounds how far back the
 comparisons reach; the full walk feature matrix uses ``s = l``, and the model
 reads both blocks, ``2s - 1`` columns, as its positional encoding.
 
-The two blocks are written side by side into one (m, l+1, 2s - 1) buffer, one
-lookback at a time, with one ``Graph.has_edges`` call per adjacency column.
+The two blocks are written side by side into one (m, l+1, 2s - 1) buffer.
+Both compare each position with a (m, l+1, k) view of the ``k = min(s, l)``
+nodes before it, so columns past the walk stay zero and a window wider than
+the walk adds no comparisons. The identity block is one broadcast ``==`` and the
+adjacency block one broadcast ``Graph.has_edges`` call per batch.
 :func:`walk_feature_matrix` passes the tail columns of its own output as that
 buffer, so the feature matrix is built in place, without a concatenation.
 """
@@ -21,6 +24,7 @@ buffer, so the feature matrix is built in place, without a concatenation.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadWindow, ShapeError
 from .graphs import Graph
@@ -52,15 +56,21 @@ def _id_adj(graph: Graph, nodes: np.ndarray, mask: np.ndarray, window: int,
     if out is None:
         out = np.zeros((m, n_pos, 2 * s - 1), dtype=np.float64)
     ident, adjac = out[:, :, :s], out[:, :, s:]
-    for j in range(min(s, n_pos - 1)):
-        offset = j + 1
-        a = nodes[:, offset:]
-        b = nodes[:, :-offset]
-        ok = mask[:, offset:] & mask[:, :-offset]
-        ident[:, offset:, j] = (a == b) & ok
-        if j < s - 1:
-            adjac[:, offset:, j] = graph.has_edges(a, b) & ok
+    k = min(s, n_pos - 1)
+    back = _lookbacks(nodes, k)
+    ok = _lookbacks(mask, k) & mask[:, :, None]
+    here = nodes[:, :, None]
+    ident[:, :, :k] = (here == back) & ok
+    k_adj = min(s - 1, k)
+    adjac[:, :, :k_adj] = graph.has_edges(here, back[:, :, :k_adj]) & ok[:, :, :k_adj]
     return ident, adjac
+
+
+def _lookbacks(a: np.ndarray, k: int) -> np.ndarray:
+    """(m, n, k) read-only view of an (m, n) array whose entry ``[:, i, j]`` is
+    ``a[:, i - j - 1]``, or zero (False) where that lies before the start."""
+    padded = np.concatenate([np.zeros((a.shape[0], k), dtype=a.dtype), a], axis=1)
+    return sliding_window_view(padded, k, axis=1)[:, :a.shape[1], ::-1]
 
 
 def encode_batch(graph: Graph, batch: WalkBatch,

@@ -334,6 +334,39 @@ def test_bench_sweep_writes_csv(capsys, tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["--sweep", "rate=abc"], "ParseError"),
+    (["--sweep", "length=x"], "ParseError"),
+    (["--repeats", "0"], "NeuralWalkerError"),
+])
+def test_bench_with_a_bad_sweep_or_repeat_count_exits_3(capsys, tmp_path, flags, error):
+    graph_path = str(tmp_path / "c10.graph")
+    save_graph(cycle_graph(10), graph_path)
+    code, out = run_cli(capsys, ["bench", "--graph", graph_path, *flags])
+    assert code == 3
+    records = parse_lines(out)
+    assert [r["kind"] for r in records] == ["error"]
+    assert records[0]["error"] == error
+
+
+# On K3 these ask for about 2.2 TiB (walk nodes) and 0.9 TiB (features of
+# 21-position walks): more than any test machine can back, so the allocation
+# fails at once instead of paging.
+@pytest.mark.parametrize("command", [["sample", "--length", "100000000000"],
+                                     ["encode", "--window", "1000000000"]])
+def test_an_allocation_larger_than_memory_exits_4(capsys, tmp_path, k3_path, command):
+    walks_path = str(tmp_path / "walks.jsonl")
+    code, _ = run_cli(capsys, ["sample", "--graph", k3_path, "--length", "20",
+                               "--out", walks_path])
+    assert code == 0
+    extra = ["--walks", walks_path] if command[0] == "encode" else []
+    code, out = run_cli(capsys, [command[0], "--graph", k3_path, *extra, *command[1:]])
+    assert code == 4
+    records = parse_lines(out)
+    assert [r["kind"] for r in records] == ["error"]
+    assert records[0]["error"] == "MemoryError"
+
+
 def test_train_eval_forward_round_trip(capsys, tmp_path, config_path):
     from neuralwalker.datasets import make_cycle_path_dataset, save_dataset
     data_dir = str(tmp_path / "data")

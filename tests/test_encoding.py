@@ -10,6 +10,8 @@ from neuralwalker.encoding import (
 )
 from neuralwalker.errors import BadWindow, ShapeError
 from neuralwalker.graphs import (
+    _SCAN_DEGREE,
+    Graph,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -64,6 +66,39 @@ def test_matches_naive_on_random_walks():
                                            window)
             assert (ident[w] == ref_i).all()
             assert (adjac[w] == ref_a).all()
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_matches_naive_with_a_hub_past_the_scan_limit(directed):
+    # Node 0 has more neighbours than has_edges scans, so queries from it
+    # take the lower bound while those from the leaves, joined in a ring,
+    # are scanned.
+    leaves = _SCAN_DEGREE + 4
+    ring = [(i, i % leaves + 1) for i in range(1, leaves + 1)]
+    hub = [(0, i) for i in range(1, leaves + 1)] + [(i, 0) for i in range(2, leaves + 1, 2)]
+    g = build_graph(leaves + 1, ring + (hub if directed else hub[:leaves]), directed=directed)
+    assert g.degrees().max() > _SCAN_DEGREE
+    length = 7
+    batch = sample_walks(g, SamplerConfig(length=length, rate=1.0), seed=3)
+    for window in (1, 2, length, length + 5):
+        ident, adjac = encode_batch(g, batch, window)
+        for w in range(batch.n_walks):
+            ref_i, ref_a = naive_encodings(g, batch.nodes[w], batch.mask[w], window)
+            assert (ident[w] == ref_i).all()
+            assert (adjac[w] == ref_a).all()
+
+
+@pytest.mark.parametrize("window", [1, 2, 5, 30])
+def test_one_has_edges_call_per_batch(monkeypatch, window):
+    g = erdos_renyi_graph(12, 0.4, seed=1)
+    batch = sample_walks(g, SamplerConfig(length=6, rate=1.0), seed=4)
+    calls = []
+    has_edges = Graph.has_edges
+    monkeypatch.setattr(Graph, "has_edges",
+                        lambda self, u, v: calls.append((u.shape, v.shape)) or has_edges(self, u, v))
+    walk_feature_matrix(g, batch, window=window)
+    k = min(window - 1, 6)
+    assert calls == [((batch.n_walks, 7, 1), (batch.n_walks, 7, k))]
 
 
 def test_cycle_closure_pins():

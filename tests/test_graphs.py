@@ -13,6 +13,8 @@ from neuralwalker.errors import (
     Unsupported,
 )
 from neuralwalker.graphs import (
+    _SCAN_DEGREE,
+    Graph,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -319,3 +321,67 @@ def test_random_regular_degree_and_connectivity():
         random_regular_graph(10, 3, seed=0)
     with pytest.raises(Unsupported):
         random_regular_graph(4, 4, seed=0)
+
+
+@st.composite
+def _broadcast_edge_queries(draw):
+    """A graph whose longest row falls on either side of ``_SCAN_DEGREE`` (a
+    star hub of about that degree over random arcs), its out-neighbour sets,
+    sources ``u`` of shape (a, b, 1) and targets ``v`` of shape (a, b, k) in
+    [-1, n + 1]; any of a, b, k may be 0."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(1, 2 * _SCAN_DEGREE + 4))
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=2 * n))
+    hub = draw(st.integers(0, n - 1))
+    spokes = draw(st.integers(_SCAN_DEGREE - 1, _SCAN_DEGREE + 2) | st.integers(0, n - 1))
+    arcs += [(hub, v) for v in range(n) if v != hub][:spokes]
+    edges = {}
+    for a, b in arcs:
+        if a != b:
+            edges.setdefault((a, b) if directed else (min(a, b), max(a, b)), None)
+    nbrs = [set() for _ in range(n)]
+    for a, b in edges:
+        nbrs[a].add(b)
+        if not directed:
+            nbrs[b].add(a)
+    a, b, k = (draw(st.integers(0, 4)) for _ in range(3))
+    u = np.array(draw(st.lists(st.integers(0, n - 1), min_size=a * b, max_size=a * b)),
+                 dtype=np.int64).reshape(a, b, 1)
+    v = np.array(draw(st.lists(st.integers(-1, n + 1), min_size=a * b * k,
+                               max_size=a * b * k)), dtype=np.int64).reshape(a, b, k)
+    return build_graph(n, list(edges), directed=directed), nbrs, u, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(_broadcast_edge_queries())
+def test_broadcast_has_edges_matches_neighbour_sets(case):
+    g, nbrs, u, v = case
+    ub, vb = np.broadcast_arrays(u, v)
+    want = np.array([b in nbrs[a] for a, b in zip(ub.ravel().tolist(), vb.ravel().tolist())],
+                    dtype=bool).reshape(vb.shape)
+    for got in (g.has_edges(u, v), g.has_edges(ub, vb),
+                g.has_edges(u.reshape(-1, 1), v.reshape(u.size, v.shape[2])).reshape(vb.shape)):
+        assert got.dtype == bool and got.shape == want.shape
+        assert (got == want).all()
+    for bad in (-1, g.n_nodes):
+        wrong = np.concatenate([u.ravel(), [bad]]).reshape(-1, 1)
+        with pytest.raises(BadIndex):
+            g.has_edges(wrong, np.zeros((wrong.size, 3), dtype=np.int64))
+
+
+def test_broadcast_has_edges_searches_only_rows_past_the_limit(monkeypatch):
+    calls = []
+    find_slots = Graph._find_slots
+    monkeypatch.setattr(Graph, "_find_slots",
+                        lambda self, u, v: calls.append(np.shape(u)) or find_slots(self, u, v))
+    v = np.array([[-1, 0, 1, 2, 3], [-1, 0, 1, 2, 3]])
+    for leaves, sources, searched in ((_SCAN_DEGREE, [0, 1], []),
+                                      (_SCAN_DEGREE + 1, [0, 1], [(5,)]),
+                                      (_SCAN_DEGREE + 1, [0, 0], [(2, 5)])):
+        calls.clear()
+        got = star_graph(leaves + 1).has_edges(np.array(sources)[:, None], v)
+        want = [[False, False, True, True, True] if s == 0 else [False, True, False, False, False]
+                for s in sources]
+        assert got.tolist() == want
+        assert calls == searched

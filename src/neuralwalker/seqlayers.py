@@ -19,13 +19,15 @@ Kinds:
 ``bidirectional=True`` wraps a kind with independent forward/backward copies
 and averages the two directions.
 
-In inference mode the two state-space kinds run their (walks, T, d, N) chain
--- discretization, scan over time and the C.h readout -- in blocks of walks
-sized at about 1 MiB per array, so the chain works in cache. Input mask,
-projections, gate and output mask run on the whole batch, and so does the
-whole chain while a tape records. Every step of the chain acts on one walk,
-so each walk's output bits do not depend on the block boundaries or on the
-walk count.
+Both state-space kinds run one chain: :func:`_discretize` (the zero-order
+hold) and :func:`_scan_readout` (the scan over time and the C.h readout).
+S4 discretizes once per call with (d, N) matrices; the selective kind
+discretizes per position inside the chain. In inference mode the
+(walks, T, d, N) chain runs in blocks of walks sized at about 1 MiB per
+array, so it works in cache. Input mask, projections, gate and output mask
+run on the whole batch, and so does the whole chain while a tape records.
+Every step of the chain acts on one walk, so each walk's output bits do not
+depend on the block boundaries or on the walk count.
 """
 
 from __future__ import annotations
@@ -178,12 +180,25 @@ def _walk_blocks(chain, tensors, per_walk: int) -> Tensor:
                       for lo in range(0, m, k)], axis=0)
 
 
-def _scan_time(a: Tensor, b: Tensor, m: int, T: int, d: int, n: int) -> Tensor:
-    """Run the linear recurrence over (m, T, d, n) by flattening channels."""
-    flat_a = ad.reshape(a, (m, T, d * n))
-    flat_b = ad.reshape(b, (m, T, d * n))
-    h = ad.associative_scan(flat_a, flat_b)
-    return ad.reshape(h, (m, T, d, n))
+def _discretize(delta: Tensor, a: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
+    """Zero-order hold: ``(exp(delta A), delta phi(delta A) B)``. ``delta`` and
+    ``b`` have the output's shape; ``a`` is (d, N), broadcast as a suffix."""
+    z = ad.mul(delta, a)
+    return ad.exp(z), ad.mul(ad.mul(delta, ad.zoh_phi(z)), b)
+
+
+def _scan_readout(x: Tensor, a_bar: Tensor, b_bar: Tensor, c: Tensor) -> Tensor:
+    """``sum_N C h`` of ``h_t = a_bar h_{t-1} + b_bar x_t`` on a (k, T, d)
+    block. ``a_bar``, ``b_bar`` and ``c`` are (d, N), the same at every
+    position, or (k, T, d, N)."""
+    k, T, d = x.shape
+    n = a_bar.shape[-1]
+    if a_bar.ndim == 2:
+        a_bar = ad.expand(ad.reshape(a_bar, (1, 1, d, n)), (k, T, d, n))
+    x_col = ad.expand(ad.reshape(x, (k, T, d, 1)), (k, T, d, n))
+    b_x = ad.reshape(ad.mul(x_col, b_bar), (k, T, d * n))
+    h = ad.associative_scan(ad.reshape(a_bar, (k, T, d * n)), b_x)
+    return ad.reduce_sum(ad.mul(ad.reshape(h, (k, T, d, n)), c), axis=-1)
 
 
 class S4Layer(_ParamHolder):
@@ -191,9 +206,7 @@ class S4Layer(_ParamHolder):
 
     ``A`` starts at -(1 + arange(N)) on every channel; ``delta`` is stored as
     its log, initialized log-uniformly in [1e-3, 1e-1]. ``A_bar`` and
-    ``B_bar`` are discretized once per call; without a tape the (walks, T, d, N)
-    chain runs in walk blocks of about 1 MiB per array, and each walk's output
-    bits do not depend on the block boundaries or the walk count.
+    ``B_bar`` are discretized once per call, outside the walk blocks.
     """
 
     def __init__(self, dim: int, state: int, rng: np.random.Generator):
@@ -222,30 +235,14 @@ class S4Layer(_ParamHolder):
         layer.log_delta.data = np.log(delta)
         return layer
 
-    def _discretize(self) -> tuple[Tensor, Tensor]:
-        """Returns per-channel (a_bar, b_bar), each (d, N)."""
-        delta = ad.exp(self.log_delta)                     # (d,)
-        delta_col = ad.expand(ad.reshape(delta, (self.dim, 1)), (self.dim, self.state))
-        z = ad.mul(delta_col, self.a)                      # delta * A
-        a_bar = ad.exp(z)
-        b_bar = ad.mul(ad.mul(delta_col, ad.zoh_phi(z)), self.b)
-        return a_bar, b_bar
-
     def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
         xm = _masked(x, mask)
         _, T, d = xm.shape
-        n = self.state
-        a_bar, b_bar = self._discretize()
-
-        def chain(xk: Tensor) -> Tensor:
-            k = xk.shape[0]
-            a_full = ad.expand(ad.reshape(a_bar, (1, 1, d, n)), (k, T, d, n))
-            x_col = ad.expand(ad.reshape(xk, (k, T, d, 1)), (k, T, d, n))
-            b_full = ad.mul(x_col, b_bar)                  # (k,T,d,N) suffix (d,N)
-            h = _scan_time(a_full, b_full, k, T, d, n)
-            return ad.reduce_sum(ad.mul(h, self.c), axis=-1)  # C h, per channel
-
-        return _masked(_walk_blocks(chain, (xm,), T * d * n), mask)
+        delta = ad.exp(self.log_delta)                     # (d,)
+        delta_col = ad.expand(ad.reshape(delta, (self.dim, 1)), (self.dim, self.state))
+        a_bar, b_bar = _discretize(delta_col, self.a, self.b)
+        return _masked(_walk_blocks(lambda xk: _scan_readout(xk, a_bar, b_bar, self.c),
+                                    (xm,), T * d * self.state), mask)
 
 
 class SelectiveLayer(_ParamHolder):
@@ -256,9 +253,7 @@ class SelectiveLayer(_ParamHolder):
     y_t = (C_t . h_t) * z_t. Freezing the projection weights to zero (biases
     carrying the constants) makes the recurrence identical to
     :class:`S4Layer` with broadcast B/C. The projections and the gate run on
-    the whole batch; without a tape the (walks, T, d, N) chain from delta, B_t
-    and C_t to C_t . h_t runs in walk blocks of about 1 MiB per array, and each
-    walk's output bits do not depend on the block boundaries or the walk count.
+    the whole batch; the chain discretizes per position.
     """
 
     def __init__(self, dim: int, state: int, rng: np.random.Generator):
@@ -290,14 +285,10 @@ class SelectiveLayer(_ParamHolder):
         def chain(xk: Tensor, delta_k: Tensor, b_k: Tensor, c_k: Tensor) -> Tensor:
             k = xk.shape[0]
             delta4 = ad.expand(ad.reshape(delta_k, (k, T, d, 1)), (k, T, d, n))
-            z = ad.mul(delta4, self.a)             # (k,T,d,N), A broadcast as suffix
-            a_bar = ad.exp(z)
             b4 = ad.expand(ad.reshape(b_k, (k, T, 1, n)), (k, T, d, n))
-            x4 = ad.expand(ad.reshape(xk, (k, T, d, 1)), (k, T, d, n))
-            b_bar_x = ad.mul(ad.mul(ad.mul(delta4, ad.zoh_phi(z)), b4), x4)
-            h = _scan_time(a_bar, b_bar_x, k, T, d, n)
             c4 = ad.expand(ad.reshape(c_k, (k, T, 1, n)), (k, T, d, n))
-            return ad.reduce_sum(ad.mul(h, c4), axis=-1)  # (k,T,d)
+            a_bar, b_bar = _discretize(delta4, self.a, b4)
+            return _scan_readout(xk, a_bar, b_bar, c4)      # (k,T,d)
 
         y = _walk_blocks(chain, (xm, delta, b_t, c_t), T * d * n)
         return _masked(ad.mul(y, gate), mask)

@@ -96,10 +96,17 @@ def evaluate(model: Model, dataset: TaskDataset, split: str, seed: int,
     standard deviation across resamplings (0.0 for a single one). With
     ``average_predictions`` the resampled predictions are averaged first and
     the metric list has a single entry for the averaged predictor.
+
+    Raises
+    ------
+    BadSchedule
+        If ``repeat`` is below 1.
     """
+    if repeat < 1:
+        raise BadSchedule(f"repeat must be at least 1, got {repeat}")
     graphs, targets = dataset.subset(split)
     rate = model.config.eval_rate if rate is None else rate
-    seeds = child_seeds(seed ^ _EVAL_SALT, max(repeat, 1))
+    seeds = child_seeds(seed ^ _EVAL_SALT, repeat)
     preds = [predict(model, graphs, int(s), rate=rate) for s in seeds]
     if average_predictions:
         name, value = _metric(dataset.task, np.mean(preds, axis=0), targets)
@@ -131,15 +138,15 @@ def _better(task: str, a: float, b: float | None) -> bool:
 
 
 def train_model(model: Model, dataset: TaskDataset, log_fn=None,
-                eval_every: int = 1, eval_repeat: int = 1,
-                average_eval: bool = False, target_value: float | None = None,
-                max_epochs: int | None = None) -> TrainResult:
+                eval_every: int = 1, target_value: float | None = None) -> TrainResult:
     """Mini-batch training with AdamW and warmup-cosine learning rates.
 
-    Early-stops once the validation metric reaches ``target_value`` (at least
-    / at most, depending on the task's direction). ``log_fn`` receives each
-    history entry as it is produced. The best-validation parameter snapshot is
-    kept and restored into the model at the end.
+    Runs ``model.config.epochs`` epochs and scores the validation split on one
+    walk resampling every ``eval_every`` epochs and after the last. Early-stops
+    once the validation metric reaches ``target_value`` (at least / at most,
+    depending on the task's direction). ``log_fn`` receives each history entry
+    as it is produced. The best-validation parameter snapshot is kept and
+    restored into the model at the end.
 
     Raises
     ------
@@ -151,16 +158,15 @@ def train_model(model: Model, dataset: TaskDataset, log_fn=None,
     if target_value is not None and np.isnan(target_value):
         raise BadSchedule("target_value is NaN, which no metric can reach")
     cfg = model.config
-    epochs = cfg.epochs if max_epochs is None else max_epochs
     train_graphs, train_targets = dataset.subset("train")
     n_train = len(train_graphs)
     batches = _batched_indices(n_train, cfg.batch_size)
-    total_steps = max(epochs * len(batches), 1)
+    total_steps = max(cfg.epochs * len(batches), 1)
     warmup_steps = min(cfg.warmup_epochs * len(batches), total_steps)
     exempt = {k for k, p in model.params.items() if p.data.ndim < 2}
     opt = AdamW(model.params, base_lr=cfg.base_lr,
                 weight_decay=cfg.weight_decay, decay_exempt=exempt)
-    shuffle_seeds = child_seeds(cfg.seed ^ _SHUFFLE_SALT, max(epochs, 1))
+    shuffle_seeds = child_seeds(cfg.seed ^ _SHUFFLE_SALT, max(cfg.epochs, 1))
     result = TrainResult()
     loss_fn = classification_loss if dataset.task == "classification" else regression_loss
     step = 0
@@ -170,7 +176,7 @@ def train_model(model: Model, dataset: TaskDataset, log_fn=None,
         if log_fn is not None:
             log_fn(entry)
 
-    for epoch in range(epochs):
+    for epoch in range(cfg.epochs):
         order = np.random.default_rng(int(shuffle_seeds[epoch])).permutation(n_train)
         walk_seeds = child_seeds(int(shuffle_seeds[epoch]) ^ 0x57414C4B, len(batches))
         losses = []
@@ -197,9 +203,8 @@ def train_model(model: Model, dataset: TaskDataset, log_fn=None,
         result.epochs_run = epoch + 1
         log({"epoch": epoch, "split": "train", "metric": "loss",
              "value": float(np.mean(losses))})
-        if (epoch + 1) % eval_every == 0 or epoch == epochs - 1:
-            ev = evaluate(model, dataset, "val", seed=cfg.seed,
-                          repeat=eval_repeat, average_predictions=average_eval)
+        if (epoch + 1) % eval_every == 0 or epoch == cfg.epochs - 1:
+            ev = evaluate(model, dataset, "val", seed=cfg.seed)
             log({"epoch": epoch, "split": "val", "metric": ev["metric"],
                  "value": ev["mean"]})
             if _better(dataset.task, ev["mean"], result.best_value):

@@ -416,6 +416,23 @@ def test_train_with_a_schedule_it_cannot_follow_exits_3(capsys, tmp_path, config
     assert records[0]["error"] == "BadSchedule"
 
 
+@pytest.mark.parametrize("repeat", ["0", "-2"])
+def test_eval_with_fewer_than_one_resampling_exits_3(capsys, tmp_path, config_path, repeat):
+    from neuralwalker.datasets import make_cycle_path_dataset, save_dataset
+    data_dir = str(tmp_path / "data")
+    save_dataset(make_cycle_path_dataset(seed=0, n_train=4, n_val=2, n_test=2,
+                                         min_nodes=4, max_nodes=5), data_dir)
+    with open(config_path) as fh:
+        ckpt = str(tmp_path / "model.nwtf")
+        save_checkpoint(Model(ModelConfig.from_json(fh.read())), ckpt)
+    code, out = run_cli(capsys, ["eval", "--data", data_dir, "--model", ckpt,
+                                 "--repeat", repeat])
+    assert code == 3
+    records = parse_lines(out)
+    assert [r["kind"] for r in records] == ["error"]
+    assert records[0]["error"] == "BadSchedule"
+
+
 def test_data_command_materializes_dataset(capsys, tmp_path):
     out_dir = str(tmp_path / "ds")
     code, out = run_cli(capsys, ["--no-timing", "data", "--task", "cycle_path",

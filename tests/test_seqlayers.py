@@ -169,6 +169,49 @@ def test_s4_matches_direct_recurrence():
         assert np.allclose(out[:, t], (h * c).sum(-1), atol=1e-12)
 
 
+def test_selective_matches_direct_recurrence(monkeypatch):
+    m = _WALK_COUNTS[2]  # one block and a walk at the block shape
+    d, n, T = _BD, _BN, _BT
+    layer = _layer("selective", dim=d, state=n, seed=7)
+    layer.params["b_gate"].data[:] = 0.5  # open the gate
+    x = _input(m, T, d, seed=8)
+    rng = np.random.default_rng(9)
+    mask = np.arange(T)[None, :] < rng.integers(1, T + 1, size=m)[:, None]
+    mask[:2] = True
+    mask[2, 2:] = False
+    p = {k: t.data for k, t in layer.params.items()}
+    joined = _block_sizes(monkeypatch)
+    blocked = layer(x, mask).data
+    assert joined == [[_BLOCK, 1]]
+    for y in (blocked, layer(Tensor(x.data[:3]), mask[:3]).data):
+        k = y.shape[0]
+        xs = x.data[:k] * mask[:k, :, None]
+        h = np.zeros((k, d, n))
+        for t in range(T):
+            xt = xs[:, t]
+            delta = np.log1p(np.exp(xt @ p["w_delta"] + p["b_delta"]))[:, :, None]
+            b_t = (xt @ p["w_b"] + p["b_b"])[:, None, :]
+            c_t = (xt @ p["w_c"] + p["b_c"])[:, None, :]
+            pre = xt @ p["w_gate"] + p["b_gate"]
+            gate = pre / (1.0 + np.exp(-pre))
+            z = delta * p["a"]
+            phi = np.where(np.abs(z) < 1e-4, 1.0 + z / 2 + z * z / 6, np.expm1(z) / z)
+            h = np.exp(z) * h + delta * phi * b_t * xt[:, :, None]
+            want = (h * c_t).sum(-1) * gate * mask[:k, t, None]
+            assert np.allclose(y[:, t], want, rtol=1e-10, atol=1e-12), (k, t)
+
+
+def test_s4_discretizes_once_per_call(monkeypatch):
+    calls = []
+    zoh_phi = ad.zoh_phi
+    monkeypatch.setattr(ad, "zoh_phi", lambda z: calls.append(z.shape) or zoh_phi(z))
+    for kind, want in (("s4", 1), ("selective", -(-_WALK_COUNTS[-1] // _BLOCK))):
+        calls.clear()
+        layer, x, mask = _block_case(kind, False)
+        layer(x, mask)
+        assert len(calls) == want, kind
+
+
 def test_s4_zero_input_zero_output():
     layer = _layer("s4", dim=4)
     out = layer(Tensor(np.zeros((2, 5, 4))), np.ones((2, 5), dtype=bool))

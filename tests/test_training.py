@@ -120,11 +120,12 @@ def test_training_rejects_a_schedule_it_cannot_follow(kwargs):
         train_model(model, _small_dataset(), **kwargs)
 
 
-def test_max_epochs_overrides_config():
+def test_train_model_runs_the_config_epochs():
     dataset = _small_dataset()
-    model = Model(_config(epochs=50), seed=0)
-    result = train_model(model, dataset, max_epochs=2)
+    model = Model(_config(epochs=2), seed=0)
+    result = train_model(model, dataset)
     assert result.epochs_run == 2
+    assert [e["epoch"] for e in result.history if e["split"] == "train"] == [0, 1]
 
 
 # -----------------------------------------------------------------------------

@@ -596,7 +596,7 @@ def segment_mean(values, segment_ids: np.ndarray, n_segments: int) -> Tensor:
     out = _segment_sum(x, ids, n_segments) / denom
 
     def vjp(g):
-        return (g[ids] / denom[ids],)
+        return ((g / denom)[ids],)
     return _emit("segment_mean", out, (values,), vjp)
 
 
@@ -664,20 +664,26 @@ def zoh_phi(z) -> Tensor:
     """phi(z) = (exp(z) - 1) / z with a smooth series near zero.
 
     Used by zero-order-hold discretization: B_bar = delta * phi(delta * A) * B.
-    The quartic Taylor tail keeps both the value and derivative accurate to
-    ~1e-16 inside |z| < 1e-4, so gradients stay finite at A = 0.
+    The value is ``expm1(z) / z``; only when some entry has |z| < 1e-4 (checked
+    on the min and max first) are those entries overwritten with the quartic
+    Taylor tail, which keeps the value and the derivative accurate to ~1e-16
+    there, so gradients stay finite at A = 0. The VJP builds its own mask.
     """
     a = as_tensor(z)
     x = a.data
-    small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
-    xs = x[small]
-    val = np.expm1(safe)
-    val /= safe
-    val[small] = 1.0 + xs / 2.0 + xs * xs / 6.0 + xs * xs * xs / 24.0
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0 / 0 is patched below
+        val = np.expm1(x)
+        val /= x
+    if x.size and x.min() < 1e-4 and x.max() > -1e-4:
+        small = np.abs(x) < 1e-4
+        xs = x[small]
+        val[small] = 1.0 + xs / 2.0 + xs * xs / 6.0 + xs * xs * xs / 24.0
 
     def vjp(g):
         # phi'(z) = (exp(z)(z - 1) + 1) / z^2, series 1/2 + z/3 + z^2/8 + z^3/30.
+        small = np.abs(x) < 1e-4
+        safe = np.where(small, 1.0, x)
+        xs = x[small]
         der = (np.exp(safe) * (safe - 1.0) + 1.0) / (safe * safe)
         der[small] = 0.5 + xs / 3.0 + xs * xs / 8.0 + xs * xs * xs / 30.0
         return (g * der,)

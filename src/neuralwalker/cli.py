@@ -41,10 +41,6 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _log(msg: str) -> None:
-    sys.stderr.write(msg + "\n")
-
-
 def _resolve_seed(args) -> int:
     env = os.environ.get("NW_SEED")
     if env is not None:
@@ -113,11 +109,13 @@ def _cmd_encode(args) -> list[str]:
     batch = walks_from_jsonl(_read_text(args.walks))
     batch.validate(graph)
     feats = walk_feature_matrix(graph, batch, window=args.window)
+    blob = dumps_tensor(feats)
     outputs = []
     if args.out:
-        save_tensor(args.out, feats)
+        with open(args.out, "wb") as fh:
+            fh.write(blob)
         outputs.append(args.out)
-    digest = hashlib.sha256(dumps_tensor(feats)).hexdigest()
+    digest = hashlib.sha256(blob).hexdigest()
     _emit({"kind": "features", "shape": list(feats.shape), "sha256": digest})
     return outputs
 

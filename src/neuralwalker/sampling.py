@@ -505,7 +505,9 @@ def _read_canonical(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | No
     nodes, slots, mask = table[:, 1:l1 + 1], table[:, l1 + 1:2 * l1], table[:, 2 * l1:]
     if _format_walks(nodes, slots, mask) != text:
         return None
-    return nodes, slots, mask
+    # Contiguous copies: column views would keep the whole table alive, walk
+    # ids included, and give the encoder strided rows.
+    return nodes.copy(), slots.copy(), mask.copy()
 
 
 def walks_to_jsonl(batch: WalkBatch) -> str:

@@ -20,14 +20,19 @@ Kinds:
 and averages the two directions.
 
 Both state-space kinds run one chain: :func:`_discretize` (the zero-order
-hold) and :func:`_scan_readout` (the scan over time and the C.h readout).
-S4 discretizes once per call with (d, N) matrices; the selective kind
-discretizes per position inside the chain. In inference mode the
-(walks, T, d, N) chain runs in blocks of walks sized at about 1 MiB per
-array, so it works in cache. Input mask, projections, gate and output mask
-run on the whole batch, and so does the whole chain while a tape records.
-Every step of the chain acts on one walk, so each walk's output bits do not
-depend on the block boundaries or on the walk count.
+hold, ``exp(delta A)`` and ``phi(delta A)``) and :func:`_scan_readout` (the
+scan of ``B_bar x`` over time and the C.h readout). Each kind forms
+``delta phi B x`` at its cheapest shape. S4 discretizes once per call and
+builds ``B_bar = (delta phi) B`` as a (d, N) matrix. The selective kind
+discretizes per position inside the chain, forms ``delta x`` at (k, T, d) and
+needs two full-size multiplies for ``B_bar x``: the outer product with
+``B_t``, then ``phi``; it reads out its per-position ``C_t`` with one stacked
+matmul. In inference mode the (walks, T, d, N) chain runs in blocks of walks
+sized at about 1 MiB per array, so it works in cache. Input mask,
+projections, gate and output mask run on the whole batch, and so does the
+whole chain while a tape records. Every step of the chain acts on one walk,
+so each walk's output bits do not depend on the block boundaries or on the
+walk count.
 """
 
 from __future__ import annotations
@@ -180,25 +185,29 @@ def _walk_blocks(chain, tensors, per_walk: int) -> Tensor:
                       for lo in range(0, m, k)], axis=0)
 
 
-def _discretize(delta: Tensor, a: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
-    """Zero-order hold: ``(exp(delta A), delta phi(delta A) B)``. ``delta`` and
-    ``b`` have the output's shape; ``a`` is (d, N), broadcast as a suffix."""
+def _discretize(delta: Tensor, a: Tensor) -> tuple[Tensor, Tensor]:
+    """Zero-order hold: ``(exp(delta A), phi(delta A))``, so that
+    ``B_bar = delta phi(delta A) B``. ``delta`` has the output's shape; ``a``
+    is (d, N), broadcast as a suffix. Each kind multiplies in ``delta``, ``B``
+    and ``x`` at its cheapest shape."""
     z = ad.mul(delta, a)
-    return ad.exp(z), ad.mul(ad.mul(delta, ad.zoh_phi(z)), b)
+    return ad.exp(z), ad.zoh_phi(z)
 
 
-def _scan_readout(x: Tensor, a_bar: Tensor, b_bar: Tensor, c: Tensor) -> Tensor:
-    """``sum_N C h`` of ``h_t = a_bar h_{t-1} + b_bar x_t`` on a (k, T, d)
-    block. ``a_bar``, ``b_bar`` and ``c`` are (d, N), the same at every
-    position, or (k, T, d, N)."""
-    k, T, d = x.shape
-    n = a_bar.shape[-1]
+def _scan_readout(a_bar: Tensor, b_x: Tensor, c: Tensor) -> Tensor:
+    """``sum_N C h`` of ``h_t = a_bar h_{t-1} + b_x_t`` on a (k, T, d, N)
+    block ``b_x``. ``a_bar`` is (d, N), the same at every position, or
+    (k, T, d, N). A per-channel ``c`` (d, N) is read out by a multiply and a
+    sum; a per-position ``c`` (k, T, N) by one stacked
+    ``(k, T, d, N) @ (k, T, N, 1)`` matmul. Returns (k, T, d)."""
+    k, T, d, n = b_x.shape
     if a_bar.ndim == 2:
         a_bar = ad.expand(ad.reshape(a_bar, (1, 1, d, n)), (k, T, d, n))
-    x_col = ad.expand(ad.reshape(x, (k, T, d, 1)), (k, T, d, n))
-    b_x = ad.reshape(ad.mul(x_col, b_bar), (k, T, d * n))
-    h = ad.associative_scan(ad.reshape(a_bar, (k, T, d * n)), b_x)
-    return ad.reduce_sum(ad.mul(ad.reshape(h, (k, T, d, n)), c), axis=-1)
+    h = ad.reshape(ad.associative_scan(ad.reshape(a_bar, (k, T, d * n)),
+                                       ad.reshape(b_x, (k, T, d * n))), (k, T, d, n))
+    if c.ndim == 2:
+        return ad.reduce_sum(ad.mul(h, c), axis=-1)
+    return ad.reshape(ad.matmul(h, ad.reshape(c, (k, T, n, 1))), (k, T, d))
 
 
 class S4Layer(_ParamHolder):
@@ -239,10 +248,17 @@ class S4Layer(_ParamHolder):
         xm = _masked(x, mask)
         _, T, d = xm.shape
         delta = ad.exp(self.log_delta)                     # (d,)
-        delta_col = ad.expand(ad.reshape(delta, (self.dim, 1)), (self.dim, self.state))
-        a_bar, b_bar = _discretize(delta_col, self.a, self.b)
-        return _masked(_walk_blocks(lambda xk: _scan_readout(xk, a_bar, b_bar, self.c),
-                                    (xm,), T * d * self.state), mask)
+        n = self.state
+        delta_col = ad.expand(ad.reshape(delta, (d, 1)), (d, n))
+        a_bar, phi = _discretize(delta_col, self.a)
+        b_bar = ad.mul(ad.mul(delta_col, phi), self.b)     # (d, N)
+
+        def chain(xk: Tensor) -> Tensor:
+            k = xk.shape[0]
+            x_col = ad.expand(ad.reshape(xk, (k, T, d, 1)), (k, T, d, n))
+            return _scan_readout(a_bar, ad.mul(x_col, b_bar), self.c)
+
+        return _masked(_walk_blocks(chain, (xm,), T * d * n), mask)
 
 
 class SelectiveLayer(_ParamHolder):
@@ -284,11 +300,13 @@ class SelectiveLayer(_ParamHolder):
 
         def chain(xk: Tensor, delta_k: Tensor, b_k: Tensor, c_k: Tensor) -> Tensor:
             k = xk.shape[0]
-            delta4 = ad.expand(ad.reshape(delta_k, (k, T, d, 1)), (k, T, d, n))
-            b4 = ad.expand(ad.reshape(b_k, (k, T, 1, n)), (k, T, d, n))
-            c4 = ad.expand(ad.reshape(c_k, (k, T, 1, n)), (k, T, d, n))
-            a_bar, b_bar = _discretize(delta4, self.a, b4)
-            return _scan_readout(xk, a_bar, b_bar, c4)      # (k,T,d)
+            shape = (k, T, d, n)
+            a_bar, phi = _discretize(ad.expand(ad.reshape(delta_k, (k, T, d, 1)), shape),
+                                     self.a)
+            # delta x at (k, T, d), then its outer product with B_t, then phi.
+            dx = ad.expand(ad.reshape(ad.mul(delta_k, xk), (k, T, d, 1)), shape)
+            b_x = ad.mul(ad.mul(dx, ad.expand(ad.reshape(b_k, (k, T, 1, n)), shape)), phi)
+            return _scan_readout(a_bar, b_x, c_k)          # (k,T,d)
 
         y = _walk_blocks(chain, (xm, delta, b_t, c_t), T * d * n)
         return _masked(ad.mul(y, gate), mask)

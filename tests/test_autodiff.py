@@ -1,5 +1,7 @@
 """Autodiff engine tests: per-op gradients, tape semantics, broadcast policy."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,17 @@ def test_segment_mean_permutation_equivariant(rng):
     assert np.allclose(base, again, atol=1e-14)
 
 
+def test_segment_mean_vjp_bits_equal_the_per_row_division(rng):
+    seg = rng.permutation(np.repeat([0, 2, 3], [3, 5, 7]))   # segments 1 and 4 are empty
+    vals = Tensor(rng.standard_normal((seg.size, 16)), requires_grad=True)
+    g = rng.standard_normal((5, 16))
+    with Tape() as tape:
+        loss = ad.reduce_sum(ad.mul(ad.segment_mean(vals, seg, 5), Tensor(g)))
+    backward(loss, tape)
+    denom = np.maximum(np.bincount(seg, minlength=5).astype(np.float64), 1.0)[:, None]
+    assert vals.grad.tobytes() == (g[seg] / denom[seg]).tobytes()
+
+
 def test_scatter_add_matches_bincount(rng):
     vals = rng.standard_normal((10, 2))
     seg = rng.integers(0, 4, size=10)
@@ -434,11 +447,29 @@ def test_value_and_vjp_bits_match_eager_formulas(op, eager):
         -rng.uniform(1.0, 700.0, 16),              # large negative (delta * A)
         rng.uniform(-5.0, 5.0, 16),
     ]).reshape(8, 8)
-    g = rng.normal(size=x.shape)
-    value, grad = _value_and_vjp(op, x, g)
-    want_value, want_grad = eager(x, g)
-    assert value.tobytes() == want_value.tobytes()
-    assert grad.tobytes() == want_grad.tobytes()
+    # No |x| < 1e-4 entry: zoh_phi skips its series patch. One-signed inputs
+    # with near-zero entries: the patch must still run.
+    far = -rng.uniform(1e-4, 2.0, (6, 5))
+    neg = -rng.uniform(0.0, 2.0, (6, 5))
+    neg.flat[:4] = (-0.0, -9.99e-5, -2e-12, -1e-300)
+    for x in (x, far, neg, -neg):
+        g = rng.normal(size=x.shape)
+        value, grad = _value_and_vjp(op, x, g)
+        want_value, want_grad = eager(x, g)
+        assert value.tobytes() == want_value.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_zoh_phi_at_signed_zero_warns_nothing():
+    x = np.array([0.0, -0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert ad.zoh_phi(Tensor(x)).data.tolist() == [1.0, 1.0]
+        t = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            loss = ad.reduce_sum(ad.zoh_phi(t))
+        backward(loss, tape)
+    assert t.grad.tolist() == [0.5, 0.5]
 
 
 def test_scan_gradient_bits_do_not_depend_on_an_expand_view_input():

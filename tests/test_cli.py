@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from neuralwalker import cli, tensorio
 from neuralwalker.cli import main
 from neuralwalker.graphs import build_graph, complete_graph, cycle_graph, save_graph
 from neuralwalker.model import Model, ModelConfig
@@ -177,6 +178,27 @@ def test_encode_digest_matches_written_file(capsys, tmp_path, k3_path):
     assert record["shape"] == [3, 5, 1 + 0 + 5]   # d=1, no edge feats, 2*3-1
     with open(out_path, "rb") as fh:
         assert record["sha256"] == hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_encode_serialises_the_features_once(capsys, tmp_path, k3_path, monkeypatch):
+    walks_path = str(tmp_path / "walks.jsonl")
+    run_cli(capsys, ["--no-timing", "sample", "--graph", k3_path,
+                     "--length", "4", "--out", walks_path])
+    calls = []
+    dumps = tensorio.dumps_tensor
+
+    def spy(arr):
+        calls.append(arr.shape)
+        return dumps(arr)
+    # Both names: the CLI's own and the one tensorio's writers look up.
+    monkeypatch.setattr(cli, "dumps_tensor", spy)
+    monkeypatch.setattr(tensorio, "dumps_tensor", spy)
+    out_path = tmp_path / "feats.nwtf"
+    code, out = run_cli(capsys, ["--no-timing", "encode", "--graph", k3_path,
+                                 "--walks", walks_path, "--out", str(out_path)])
+    assert code == 0
+    assert len(calls) == 1
+    assert parse_lines(out)[0]["sha256"] == hashlib.sha256(out_path.read_bytes()).hexdigest()
 
 
 def _write_c5_walks(tmp_path, nodes, slots):

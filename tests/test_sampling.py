@@ -444,6 +444,19 @@ def test_jsonl_round_trip_spans_several_format_blocks():
     _assert_same_walks(walks_from_jsonl(text), batch)
 
 
+def test_jsonl_reader_returns_contiguous_arrays_that_share_no_memory():
+    batch = sample_walks(cycle_graph(40), SamplerConfig(length=5, rate=1.0), seed=3)
+    back = walks_from_jsonl(walks_to_jsonl(batch))
+    arrays = (back.nodes, back.edge_slots, back.mask, back.start_nodes)
+    for arr in arrays:
+        assert arr.flags["C_CONTIGUOUS"]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    # Not a view that keeps the parsed table, walk ids included, alive.
+    assert back.nodes.base is None
+
+
 def test_jsonl_writer_writes_one_newline_for_no_walks():
     batch = WalkBatch(nodes=np.zeros((0, 4), dtype=np.int64),
                       edge_slots=np.zeros((0, 3), dtype=np.int64),

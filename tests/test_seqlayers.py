@@ -461,6 +461,28 @@ def test_taped_calls_run_the_chain_as_one_block(kind, monkeypatch):
     assert taped.tobytes() == blocked.tobytes()
 
 
+def test_selective_blocks_run_three_full_size_multiplies_and_a_matmul_readout(monkeypatch):
+    layer, x, mask = _block_case("selective", False)
+    calls = []
+
+    def spy(name):
+        op = getattr(ad, name)
+
+        def call(*args, **kwargs):
+            out = op(*args, **kwargs)
+            calls.append((name, out.ndim))
+            return out
+        return call
+    for name in ("mul", "matmul", "reduce_sum"):
+        monkeypatch.setattr(ad, name, spy(name))
+    layer(Tensor(x.data), mask)
+    n_blocks = -(-x.shape[0] // _BLOCK)
+    assert n_blocks == 3
+    assert calls.count(("mul", 4)) <= 3 * n_blocks
+    assert calls.count(("matmul", 4)) == n_blocks
+    assert not [c for c in calls if c[0] == "reduce_sum"]
+
+
 @pytest.mark.parametrize("kind,limit_mib", [("selective", 32), ("s4", 16)])
 def test_state_space_forward_memory_peak(kind, limit_mib):
     # The eval_ssm shape: 512 walks x 21 steps x 24 channels x 16 states is

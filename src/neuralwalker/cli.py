@@ -21,6 +21,7 @@ import sys
 import time
 
 import numpy as np
+import scipy
 
 from .datasets import TASK_BUILDERS, load_dataset, make_dataset, save_dataset
 from .encoding import walk_feature_matrix
@@ -51,9 +52,23 @@ def _resolve_seed(args) -> int:
     return int(args.seed)
 
 
+def _environment() -> dict:
+    """The library builds and CPU settings a run's numbers may depend on.
+    The BLAS thread count is recorded as the environment sets it; the count
+    the loaded library actually runs is not queried."""
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count())
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": blas.get("name"), "blas_version": blas.get("version"),
+            "blas_threads_env": {k: os.environ.get(k)
+                                 for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+            "cpu_count": os.cpu_count(), "cpus_usable": usable}
+
+
 def _manifest(args, started: float, outputs: list[str]) -> dict:
     man = {"kind": "manifest", "command": args.command, "seed": _resolve_seed(args),
-           "outputs": sorted(outputs)}
+           "outputs": sorted(outputs), "environment": _environment()}
     if getattr(args, "oracle_command", None):
         man["subcommand"] = args.oracle_command
     if not args.no_timing:

@@ -452,28 +452,97 @@ def remap_walks(batch: WalkBatch, perm: np.ndarray, target: Graph) -> WalkBatch:
 # JSON-lines serialization (one record per walk)
 # =============================================================================
 
-# Walks formatted per ``%`` call. The call needs every integer of its rows as
-# a Python object; one call over 100k walks x 20 steps held ~280 MB of them.
-_FORMAT_BLOCK = 1024
+# Walks formatted per block: a block is one (walks x words) uint64 array, 576
+# bytes per walk of length 20, so the formatter's temporaries do not grow with
+# the batch. On 100k walks of length 20 the writer and the reader took the
+# same time at 256 to 2048 walks per block; at 512 a block's words and their
+# two byte copies (under 1 MiB) fit in one core's 2 MiB L2 cache.
+_FORMAT_BLOCK = 512
+
+# An integer takes one 8-byte word per six-digit group, the most significant
+# group first. The digits of a group sit right-aligned in bytes 2..7; byte 0
+# of the integer's first word holds its "," separator and byte 1 its "-" sign.
+# NUL bytes are padding, dropped once per block.
+_GROUP = 10 ** 6
+_COMMA, _MINUS, _ZEROS = (np.frombuffer(w.ljust(8, b"\0"), dtype=np.uint64)[0]
+                          for w in (b",", b"\0-", b"\0\0" + b"0" * 6))
+# The constant pieces around a record's four integer lists, NUL-padded to words.
+_RECORD = tuple(np.frombuffer(piece.ljust(-(-len(piece) // 8) * 8, b"\0"), dtype=np.uint64)
+                for piece in (b'{"walk_id":', b',"nodes":[', b'],"edge_slots":[',
+                              b'],"mask":[', b']}\n'))
 
 
-def _format_walks(nodes: np.ndarray, edge_slots: np.ndarray, mask: np.ndarray) -> str:
-    """The canonical text of a batch: one ``%``-template line per walk, applied
-    to the ``(walk_id | nodes | edge_slots | mask)`` integer rows a block of
-    walks at a time."""
-    m, l1 = nodes.shape
+def _digit_table(largest: int) -> np.ndarray:
+    """The word of every group value below ``10**d``, where ``d`` is the digit
+    count of ``largest`` capped at six: its digits right-aligned with no
+    leading zeros. OR-ing in ``_ZEROS`` writes the leading zeros of a group
+    that follows another."""
+    d = min(len(str(largest)), 6)
+    table = np.zeros((10,) * d + (8,), dtype=np.uint8)
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for k in range(d):           # digit k of d, most significant first
+        table[..., 8 - d + k] = digits.reshape((10,) + (1,) * (d - 1 - k))
+    flat = table.reshape(-1, 8)
+    for k in range(d - 1):       # values below 10**(d-1-k) have no digit k
+        flat[:10 ** (d - 1 - k), 8 - d + k] = 0
+    return flat.view(np.uint64).ravel()
+
+
+def _put_ints(out: np.ndarray, values: np.ndarray, table: np.ndarray,
+              lead: np.ndarray) -> None:
+    """Write the int64 ``values`` (k, n) into ``out`` (k, n, groups) as
+    words from ``table``, with the separator words ``lead`` (n,) and the
+    signs OR'd into each integer's first word."""
+    q = np.abs(values).view(np.uint64)  # abs(int64 min) wraps to 2**63 as uint64
+    negative = values < 0
+    if negative.any():
+        lead = lead | negative * _MINUS
+    groups = out.shape[2]
+    for p in range(groups - 1, -1, -1):   # word p; the least significant is last
+        word = np.take(table, q % _GROUP if p else q)
+        if p < groups - 1:
+            word[q == 0] = 0              # a group above the integer's top one
+        if p:
+            q = q // _GROUP
+            word |= (q > 0) * _ZEROS      # a group below a non-empty one
+            out[..., p] = word
+        else:
+            np.bitwise_or(word, lead, out=out[..., 0])
+
+
+def _format_walks(nodes: np.ndarray, edge_slots: np.ndarray, mask: np.ndarray):
+    """The canonical text of a batch as ASCII bytes, yielded one block of
+    ``_FORMAT_BLOCK`` walks at a time.
+
+    A block is one (walks x words) uint64 array: the constant pieces of a
+    record are NUL-padded words, each integer takes its field's number of
+    six-digit group words, gathered from one digit table sized by the
+    largest magnitude, and ``bytes.translate`` drops the padding. No integer
+    becomes a Python object.
+    """
+    m = nodes.shape[0]
     if m == 0:
-        return "\n"
-    row = ",".join
-    line = ('{"walk_id":%d,"nodes":[' + row(["%d"] * l1) + '],"edge_slots":['
-            + row(["%d"] * (l1 - 1)) + '],"mask":[' + row(["%d"] * l1) + ']}\n')
-    ids = np.arange(m)[:, None]
-    parts = []
+        yield b"\n"
+        return
+    fields = (np.arange(m)[:, None], nodes, edge_slots, mask)
+    largest = [max(int(f.max()), -int(f.min())) if f.size else 0 for f in fields]
+    row, parts = [_RECORD[0]], []
+    for field, top, piece in zip(fields, largest, _RECORD[1:]):
+        n, groups = field.shape[1], -(-len(str(top)) // 6)
+        lead = np.full(n, _COMMA)
+        lead[:1] = 0                      # no separator before a list's first entry
+        start = sum(r.size for r in row)
+        parts.append((field, slice(start, start + n * groups), n, groups, lead))
+        row += [np.zeros(n * groups, dtype=np.uint64), piece]
+    cells = np.empty((min(m, _FORMAT_BLOCK), sum(r.size for r in row)), dtype=np.uint64)
+    cells[:] = np.concatenate(row)
+    table = _digit_table(max(largest))
     for i in range(0, m, _FORMAT_BLOCK):
-        block = slice(i, i + _FORMAT_BLOCK)
-        rows = np.hstack([ids[block], nodes[block], edge_slots[block], mask[block]])
-        parts.append((line * rows.shape[0]) % tuple(rows.ravel().tolist()))
-    return "".join(parts)
+        k = min(_FORMAT_BLOCK, m - i)
+        for field, cols, n, groups, lead in parts:
+            values = np.asarray(field[i:i + k], dtype=np.int64)
+            _put_ints(cells[:k, cols].reshape(k, n, groups), values, table, lead)
+        yield cells[:k].tobytes().translate(None, b"\0")
 
 
 # Every byte but a digit or "-" becomes a space, leaving the integers of a
@@ -486,9 +555,10 @@ def _read_canonical(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | No
     None for any other text.
 
     The integers are read in one pass, and the arrays are accepted only if
-    formatting them reproduces ``text`` byte for byte. ``np.fromstring``
-    alone would also accept leading zeros, ``"1 - 2"``, and integers past
-    int64 (it saturates them); the rewrite rejects all of those.
+    :func:`_format_walks` gives ``text`` back byte for byte, compared block
+    by block as it formats. ``np.fromstring`` alone would also accept
+    leading zeros, ``"1 - 2"``, and integers past int64 (it saturates them);
+    the rewrite rejects all of those.
     """
     m = text.count("\n")
     if m == 0 or not text.isascii():
@@ -503,7 +573,12 @@ def _read_canonical(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | No
     table = ints.reshape(m, -1)
     l1 = table.shape[1] // 3
     nodes, slots, mask = table[:, 1:l1 + 1], table[:, l1 + 1:2 * l1], table[:, 2 * l1:]
-    if _format_walks(nodes, slots, mask) != text:
+    end = 0
+    for block in _format_walks(nodes, slots, mask):
+        if not text.startswith(block.decode("ascii"), end):
+            return None
+        end += len(block)
+    if end != len(text):
         return None
     # Contiguous copies: column views would keep the whole table alive, walk
     # ids included, and give the encoder strided rows.
@@ -516,9 +591,11 @@ def walks_to_jsonl(batch: WalkBatch) -> str:
     Record ``j`` is ``{"walk_id":j,"nodes":[...],"edge_slots":[...],"mask":[...]}``
     with compact separators, the mask as 0/1, and a ``\\n`` after every record;
     a batch with no walks gives ``"\\n"``. Each line equals
-    ``json.dumps(record, separators=(",", ":"))``.
+    ``json.dumps(record, separators=(",", ":"))`` for any int64 entries. The
+    text is built by :func:`_format_walks`, the formatter whose output the
+    reader checks canonical text against.
     """
-    return _format_walks(batch.nodes, batch.edge_slots, batch.mask)
+    return b"".join(_format_walks(batch.nodes, batch.edge_slots, batch.mask)).decode("ascii")
 
 
 def _int_rows(rows: list, name: str) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from neuralwalker import cli, tensorio
 from neuralwalker.cli import main
@@ -72,6 +74,22 @@ def test_reruns_are_byte_identical_with_no_timing(capsys, k3_path):
     _, out3 = run_cli(capsys, ["--seed", "3", "sample", "--graph", k3_path,
                                "--length", "5"])
     assert "elapsed_s" in parse_lines(out3)[-1]
+
+
+def test_manifest_records_the_run_environment(capsys, k3_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    argv = ["--no-timing", "--seed", "3", "sample", "--graph", k3_path, "--length", "5"]
+    _, out1 = run_cli(capsys, argv)
+    _, out2 = run_cli(capsys, argv)
+    assert out1 == out2
+    env = parse_lines(out1)[-1]["environment"]
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    assert env == {"numpy": np.__version__, "scipy": scipy.__version__,
+                   "blas": blas.get("name"), "blas_version": blas.get("version"),
+                   "blas_threads_env": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None},
+                   "cpu_count": os.cpu_count(), "cpus_usable": env["cpus_usable"]}
+    assert 1 <= env["cpus_usable"] <= env["cpu_count"]
 
 
 def test_env_seed_overrides_flag(capsys, k3_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Walk sampler tests: determinism, kernel laws, coverage, serialization."""
 
 import json
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from neuralwalker.graphs import (
     cycle_graph,
     erdos_renyi_graph,
     path_graph,
+    random_regular_graph,
     star_graph,
 )
 from neuralwalker import sampling
@@ -465,6 +467,57 @@ def test_jsonl_writer_writes_one_newline_for_no_walks():
     assert walks_to_jsonl(batch) == _reference_jsonl(batch) == "\n"
 
 
+# Each width edge of the six-digit word groups, both signs, and the int64 ends.
+_EDGE_INTS = sorted({sign * v for v in [0, 1] + [10**k - 1 for k in range(1, 19)]
+                     + [10**k for k in range(1, 19)] + [2**63 - 1] for sign in (1, -1)}
+                    | {-2**63})
+
+
+@st.composite
+def _edge_batches(draw):
+    """Batches whose nodes and slots mix values from a drawn palette of
+    ``_EDGE_INTS`` inside each block, at walk counts around the block size
+    and at length 1; about a fifth of the walks are masked after the start."""
+    block = sampling._FORMAT_BLOCK
+    m = draw(st.sampled_from([1, 2, block - 1, block, block + 1]))
+    length = draw(st.sampled_from([1, 2, 5]))
+    palette = np.array(draw(st.lists(st.sampled_from(_EDGE_INTS), min_size=1, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nodes = palette[rng.integers(len(palette), size=(m, length + 1))]
+    mask = np.ones((m, length + 1), dtype=bool)
+    mask[rng.random(m) < 0.2, 1:] = False
+    return WalkBatch(nodes=nodes, edge_slots=palette[rng.integers(len(palette), size=(m, length))],
+                     mask=mask, start_nodes=nodes[:, 0].copy(), length=length)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_edge_batches())
+def test_jsonl_formats_every_digit_group_edge_and_reads_it_back(batch):
+    text = walks_to_jsonl(batch)
+    assert text == _reference_jsonl(batch)
+    assert sampling._read_canonical(text) is not None
+    _assert_same_walks(walks_from_jsonl(text), batch)
+
+
+def test_jsonl_round_trip_peaks_at_a_few_times_the_text():
+    """The formatter works a block of walks at a time, so its temporaries do
+    not grow with the batch. The 20k-walk round trip holds the text, the
+    parsed integers (about 1.5 times the text) and their copies; formatting
+    every walk in one block would add a uint64 array of 1.8 times the text,
+    its bytes, and per-field temporaries."""
+    batch = sample_walks(random_regular_graph(20_000, 4, seed=1),
+                         SamplerConfig(length=20, rate=1.0), seed=1)
+    tracemalloc.start()
+    try:
+        text = walks_to_jsonl(batch)
+        back = walks_from_jsonl(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_same_walks(back, batch)
+    assert peak < 5 * len(text)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_walk_batches(), st.randoms(use_true_random=False))
 def test_jsonl_reader_gives_the_same_walks_for_every_rendition(batch, rnd):
@@ -511,6 +564,12 @@ def test_jsonl_rejects_canonical_shaped_lines_the_record_parser_rejects(old, new
     assert walks_from_jsonl(_CANONICAL).n_walks == 2
     with pytest.raises(ParseError):
         walks_from_jsonl(_CANONICAL.replace(old, new))
+
+
+@pytest.mark.parametrize("tail", ["]", "x", "{}"])
+def test_jsonl_rejects_text_after_the_last_canonical_record(tail):
+    with pytest.raises(ParseError):
+        walks_from_jsonl(_CANONICAL + tail)
 
 
 def _one_walk(nodes, slots, mask):

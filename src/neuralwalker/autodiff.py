@@ -16,6 +16,9 @@ gradients are the same bits either way.
 Broadcasting is deliberately narrow: elementwise ops accept equal shapes, a
 python scalar, or one operand whose shape is a trailing suffix of the other's
 (the bias case). Anything else needs an explicit :func:`expand` / ``reshape``.
+The one op with a trailing-axis broadcast is :func:`mask_rows`, the one
+row-mask op: it gates the rows of ``x`` with a bool mask of shape
+``x.shape[:-1]``, so no caller builds a float 0/1 copy of a mask.
 
 ``Tensor.data`` is never written in place. :func:`expand` returns a read-only
 broadcast view instead of a copy, ``reshape`` copies only where numpy cannot
@@ -44,7 +47,7 @@ __all__ = [
     "as_tensor",
     "param_uniform",
     "param_zeros",
-    "add", "sub", "mul", "scale", "neg", "matmul", "transpose", "reshape",
+    "add", "sub", "mul", "scale", "neg", "mask_rows", "matmul", "transpose", "reshape",
     "concat", "slice_axis", "expand", "flip_axis",
     "relu", "gelu", "sigmoid", "tanh", "exp", "log", "softplus", "silu",
     "softmax", "log_softmax", "reduce_sum", "reduce_mean",
@@ -268,6 +271,17 @@ def scale(a, c: float) -> Tensor:
 
 def neg(a) -> Tensor:
     return scale(a, -1.0)
+
+
+def mask_rows(x, keep: np.ndarray) -> Tensor:
+    """Zero the rows of ``x`` where the bool ``keep`` (shape ``x.shape[:-1]``)
+    is False. Value ``x * keep[..., None]``, VJP ``g * keep[..., None]``: the
+    same bits as a multiply by a float 0/1 copy of the mask."""
+    x, keep = as_tensor(x), np.asarray(keep)
+    if x.data.ndim == 0 or keep.dtype != np.bool_ or keep.shape != x.data.shape[:-1]:
+        raise ShapeError(f"mask_rows needs a bool {x.shape[:-1]} mask, got {keep.dtype} {keep.shape}")
+    col = keep[..., None]
+    return _emit("mask_rows", x.data * col, (x,), lambda g: (g * col,))
 
 
 # =============================================================================

@@ -15,9 +15,9 @@ runs the walk attention block on it, with padded keys masked. A single graph
 is a batch of one.
 
 Skip-connection guarantee: the aggregation update is
-``h <- h_prev + visited * LN(agg)`` with a 0/1 visited gate, so a node (or
-edge slot) that no walk touches keeps its state bit-for-bit through the
-aggregate step at arbitrary parameters.
+``h <- h_prev + visited * LN(agg)`` with the bool visited flags applied by
+``autodiff.mask_rows``, so a node (or edge slot) that no walk touches keeps
+its state bit-for-bit through the aggregate step at arbitrary parameters.
 """
 
 from __future__ import annotations
@@ -227,58 +227,56 @@ def _layernorm(x: Tensor, params: dict, name: str) -> Tensor:
     return ad.layernorm(x, params[f"{name}.gain"], params[f"{name}.bias"])
 
 
+def _out_slots(batch: WalkBatch) -> np.ndarray:
+    """(m, l+1) CSR slot of the real step leaving each position; -1 where none
+    does (the last position, masked steps, and steps that stay on a sink)."""
+    slots = np.where(batch.step_mask(), batch.edge_slots, -1)
+    return np.pad(slots, ((0, 0), (0, 1)), constant_values=-1)
+
+
 def embed_walks(h_v: Tensor, h_e: Tensor, pe: np.ndarray, batch: WalkBatch,
                 params: dict, prefix: str) -> Tensor:
     """Per-position walk embeddings:
     ``h_V(w_i) + proj_edge(h_E(w_i w_{i+1})) + proj_pe(pe_i)``.
 
-    The edge input of the final position (and of masked steps) is zero before
+    The edge input of a position with no step leaving it is zero before
     projection; fully padded rows are zeroed at the end.
     """
-    m, n_pos = batch.nodes.shape
-    d = h_v.shape[1]
-    node_part = ad.gather_rows(h_v, batch.nodes)                     # (m, T, d)
-    step_ok = batch.step_mask() & (batch.edge_slots >= 0)
-    safe = np.where(step_ok, batch.edge_slots, 0)
-    step_keep = np.broadcast_to(step_ok[:, :, None], (m, n_pos - 1, d))
-    edge_in = ad.mul(ad.gather_rows(h_e, safe), Tensor(step_keep.astype(np.float64)))
-    edge_in = ad.concat([edge_in, Tensor(np.zeros((m, 1, d)))], axis=1)
-    out = ad.add(node_part, _linear(edge_in, params, f"{prefix}.proj_edge"))
+    slots = _out_slots(batch)
+    edge_rows = (ad.gather_rows(h_e, np.maximum(slots, 0)) if h_e.shape[0]
+                 else Tensor(np.zeros(slots.shape + h_e.shape[1:])))   # a pack with no edges
+    edge_in = _linear(ad.mask_rows(edge_rows, slots >= 0), params, f"{prefix}.proj_edge")
+    out = ad.add(ad.gather_rows(h_v, batch.nodes), edge_in)
     out = ad.add(out, _linear(Tensor(pe), params, f"{prefix}.proj_pe"))
-    keep = np.broadcast_to(batch.mask[:, :, None], (m, n_pos, d))
-    return ad.mul(out, Tensor(keep.astype(np.float64)))
+    return ad.mask_rows(out, batch.mask)
 
 
-def _average_rows(seq_out: Tensor, flat_idx: np.ndarray, ids: np.ndarray, n_rows: int,
+def _average_rows(seq_out: Tensor, ids: np.ndarray, n_rows: int,
                   norm_constant: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
-    """Pick rows ``flat_idx`` of the flattened (walk, position) sequence output
-    and average them per id, dividing by the visit count or, when given, by
-    ``norm_constant``. Returns (average, 0/1 visited flag per id)."""
+    """Average the rows of the flat (walk, position) sequence output per id of
+    the (m, T) ``ids``, dividing by the visit count or by ``norm_constant``.
+    Positions holding the discard id ``n_rows`` fill one extra, dropped row.
+    Returns (average, bool visited flag per id)."""
     m, n_pos, d = seq_out.shape
-    values = ad.gather_rows(ad.reshape(seq_out, (m * n_pos, d)), flat_idx)
-    visited = (np.bincount(ids, minlength=n_rows) > 0).astype(np.float64)
-    if norm_constant is None:
-        return ad.segment_mean(values, ids, n_rows), visited
-    inv = np.broadcast_to((1.0 / norm_constant)[:, None], (n_rows, d))
-    return ad.mul(ad.scatter_add(values, ids, n_rows), Tensor(inv.copy())), visited
+    ids = ids.ravel()
+    segment = ad.segment_mean if norm_constant is None else ad.scatter_add
+    agg = ad.slice_axis(segment(ad.reshape(seq_out, (m * n_pos, d)), ids, n_rows + 1),
+                        0, 0, n_rows)
+    if norm_constant is not None:
+        agg = ad.mul(agg, ad.expand(Tensor(1.0 / norm_constant[:, None]), (n_rows, d)))
+    return agg, np.bincount(ids, minlength=n_rows + 1)[:n_rows] > 0
 
 
 def aggregate_nodes(seq_out: Tensor, batch: WalkBatch, n_nodes: int,
-                    normalization: str = "visits",
                     norm_constant: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
     """Average sequence outputs over each node's walk occurrences.
 
-    Returns (aggregate, visited) where ``visited`` is the 0/1 per-node
-    indicator of having at least one unmasked occurrence. With
-    ``normalization="constant"`` the sum is divided by ``norm_constant``
-    (per-node) instead of the empirical visit count.
+    Returns (aggregate, visited) where ``visited`` is the bool per-node flag
+    of having at least one unmasked occurrence. The sum is divided by the
+    empirical visit count, or by the per-node ``norm_constant`` when one is
+    given (the constant normalization).
     """
-    if normalization == "visits":
-        norm_constant = None
-    elif norm_constant is None:
-        raise ShapeError("constant normalization needs norm_constant")
-    flat_idx = np.flatnonzero(batch.mask.ravel())
-    return _average_rows(seq_out, flat_idx, batch.nodes.ravel()[flat_idx], n_nodes,
+    return _average_rows(seq_out, np.where(batch.mask, batch.nodes, n_nodes), n_nodes,
                          norm_constant)
 
 
@@ -286,10 +284,8 @@ def aggregate_edges(seq_out: Tensor, batch: WalkBatch,
                     n_slots: int) -> tuple[Tensor, np.ndarray]:
     """Average the sequence output at each step's source position over the
     edge slots the steps traversed."""
-    m, n_pos, _ = seq_out.shape
-    step_ok = batch.step_mask() & (batch.edge_slots >= 0)
-    flat_idx = np.arange(m * n_pos).reshape(m, n_pos)[:, :-1][step_ok]
-    return _average_rows(seq_out, flat_idx, batch.edge_slots[step_ok], n_slots)
+    slots = _out_slots(batch)
+    return _average_rows(seq_out, np.where(slots >= 0, slots, n_slots), n_slots)
 
 
 def local_mp_gin(pack: PackedGraphs, h_v: Tensor, h_e: Tensor,
@@ -426,10 +422,7 @@ class Model:
         if cfg.edge_dim > 0:
             h_e = _linear(Tensor(union.edge_features), self.params, "edge_in")
         else:
-            h_e = ad.expand(self.params["edge_embed"],
-                            (max(union.n_slots, 1), cfg.hidden_dim))
-            if union.n_slots == 0:
-                h_e = ad.slice_axis(h_e, 0, 0, 0)
+            h_e = ad.expand(self.params["edge_embed"], (union.n_slots, cfg.hidden_dim))
         return h_v, h_e
 
     def _norm_constants(self, pack: PackedGraphs, walk_gids: np.ndarray,
@@ -476,16 +469,13 @@ class Model:
             p = f"block{t}"
             h_w = embed_walks(h_v, h_e, pe, batch, self.params, p)
             seq_out = self.seq_layers[t](h_w, batch.mask)
-            agg_v, visited_v = aggregate_nodes(seq_out, batch, pack.union.n_nodes,
-                                               cfg.normalization, const)
-            gate_v = np.broadcast_to(visited_v[:, None], agg_v.shape).copy()
-            h_v = ad.add(h_v, ad.mul(_layernorm(agg_v, self.params, f"{p}.ln_node"),
-                                     Tensor(gate_v)))
+            agg_v, visited_v = aggregate_nodes(seq_out, batch, pack.union.n_nodes, const)
+            h_v = ad.add(h_v, ad.mask_rows(_layernorm(agg_v, self.params, f"{p}.ln_node"),
+                                           visited_v))
             if pack.union.n_slots:
                 agg_e, visited_e = aggregate_edges(seq_out, batch, pack.union.n_slots)
-                gate_e = np.broadcast_to(visited_e[:, None], agg_e.shape).copy()
-                h_e = ad.add(h_e, ad.mul(_layernorm(agg_e, self.params, f"{p}.ln_edge"),
-                                         Tensor(gate_e)))
+                h_e = ad.add(h_e, ad.mask_rows(_layernorm(agg_e, self.params, f"{p}.ln_edge"),
+                                               visited_e))
             if cfg.local_mp == "gin":
                 h_v = _layernorm(local_mp_gin(pack, h_v, h_e, self.params, p),
                                  self.params, f"{p}.ln_local")
@@ -537,8 +527,7 @@ class Model:
 # =============================================================================
 
 def walk_functional_readout(graph: Graph, batch: WalkBatch, features: np.ndarray,
-                            u: np.ndarray, b: float,
-                            normalization: str = "constant") -> float:
+                            u: np.ndarray, b: float) -> float:
     """Linear functional of walk features routed through the production
     aggregate -> mean-pool -> linear-head path.
 
@@ -549,8 +538,7 @@ def walk_functional_readout(graph: Graph, batch: WalkBatch, features: np.ndarray
     """
     pack = pack_graphs([graph])
     m_l_over_n = np.full(graph.n_nodes, batch.n_walks * batch.length / graph.n_nodes)
-    agg, _ = aggregate_nodes(Tensor(features), batch, graph.n_nodes,
-                             normalization, m_l_over_n)
+    agg, _ = aggregate_nodes(Tensor(features), batch, graph.n_nodes, m_l_over_n)
     pooled = ad.segment_mean(agg, pack.graph_ids, 1)
     value = pooled.data[0] @ np.asarray(u, dtype=np.float64) + float(b)
     return float(value)

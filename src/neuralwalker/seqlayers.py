@@ -57,11 +57,6 @@ __all__ = [
 SEQ_LAYER_KINDS = ("conv", "attention", "s4", "selective")
 
 
-def _masked(x: Tensor, mask: np.ndarray) -> Tensor:
-    keep = np.broadcast_to(mask[:, :, None], x.shape).astype(np.float64)
-    return ad.mul(x, Tensor(keep))
-
-
 class _ParamHolder:
     """Base: a flat name -> Tensor parameter dict."""
 
@@ -102,10 +97,10 @@ class ConvLayer(_ParamHolder):
         return layer
 
     def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
-        xm = _masked(x, mask)
+        xm = ad.mask_rows(x, mask)
         local = ad.conv1d_depthwise(xm, self.kernel)
         mixed = ad.add(ad.matmul(local, self.mix), self.bias)
-        return _masked(ad.add(xm, mixed), mask)
+        return ad.mask_rows(ad.add(xm, mixed), mask)
 
 
 # =============================================================================
@@ -127,7 +122,7 @@ def attention_block(x: Tensor, mask: np.ndarray, heads: int, linears) -> Tensor:
                for i in range(3))
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     key_bias = np.where(mask, 0.0, -1e30)[:, None, None, :]
-    scores = ad.add(scores, Tensor(np.broadcast_to(key_bias, (m, heads, T, T)).copy()))
+    scores = ad.add(scores, ad.expand(Tensor(key_bias), (m, heads, T, T)))
     ctx = ad.matmul(ad.softmax(scores, axis=-1), v)
     h = ad.add(x, linear(ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (m, T, d)), 3))
     return ad.add(h, linear(ad.relu(linear(h, 4)), 5))
@@ -155,7 +150,8 @@ class AttentionLayer(_ParamHolder):
     def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
         p = self.params
         linears = [(p[f"w{r}"], p[f"b{r}"]) for r in ("q", "k", "v", "o", "1", "2")]
-        return _masked(attention_block(_masked(x, mask), mask, self.heads, linears), mask)
+        out = attention_block(ad.mask_rows(x, mask), mask, self.heads, linears)
+        return ad.mask_rows(out, mask)
 
 
 # =============================================================================
@@ -245,7 +241,7 @@ class S4Layer(_ParamHolder):
         return layer
 
     def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
-        xm = _masked(x, mask)
+        xm = ad.mask_rows(x, mask)
         _, T, d = xm.shape
         delta = ad.exp(self.log_delta)                     # (d,)
         n = self.state
@@ -258,7 +254,7 @@ class S4Layer(_ParamHolder):
             x_col = ad.expand(ad.reshape(xk, (k, T, d, 1)), (k, T, d, n))
             return _scan_readout(a_bar, ad.mul(x_col, b_bar), self.c)
 
-        return _masked(_walk_blocks(chain, (xm,), T * d * n), mask)
+        return ad.mask_rows(_walk_blocks(chain, (xm,), T * d * n), mask)
 
 
 class SelectiveLayer(_ParamHolder):
@@ -289,7 +285,7 @@ class SelectiveLayer(_ParamHolder):
         self._add("b_gate", ad.param_zeros((dim,)))
 
     def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
-        xm = _masked(x, mask)
+        xm = ad.mask_rows(x, mask)
         _, T, d = xm.shape
         n = self.state
         p = self.params
@@ -309,7 +305,7 @@ class SelectiveLayer(_ParamHolder):
             return _scan_readout(a_bar, b_x, c_k)          # (k,T,d)
 
         y = _walk_blocks(chain, (xm, delta, b_t, c_t), T * d * n)
-        return _masked(ad.mul(y, gate), mask)
+        return ad.mask_rows(ad.mul(y, gate), mask)
 
 
 # =============================================================================

@@ -391,6 +391,30 @@ def test_expand_is_a_read_only_view_with_the_same_gradient():
     assert x.grad.tobytes() == w.sum(axis=1, keepdims=True).tobytes()
 
 
+@pytest.mark.parametrize("shape", [(5, 4), (3, 5, 4)], ids=["2d", "3d"])
+def test_mask_rows_bits_equal_a_multiply_by_the_float_copy(shape):
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=shape)
+    specials = np.array([-np.inf, np.inf, -0.0, 0.0, -3.5])
+    x[..., 0] = np.resize(specials, shape[:-1])      # every row has one, kept or not
+    keep = np.resize([True, False, False, True, True, False, True], shape[:-1])
+    g = rng.normal(size=shape)
+    float_copy = np.broadcast_to(keep[..., None], shape).astype(np.float64)
+    with np.errstate(invalid="ignore"):               # 0 * inf
+        got = _value_and_vjp(lambda t: ad.mask_rows(t, keep), x, g)
+        want = _value_and_vjp(lambda t: ad.mul(t, Tensor(float_copy)), x, g)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_mask_rows_rejects_a_mask_of_the_wrong_shape():
+    x = Tensor(np.ones((3, 4)))
+    for keep in (np.ones(4, bool), np.ones((3, 4), bool), np.ones((3, 1), bool),
+                 np.ones(3)):                            # the last one is not bool
+        with pytest.raises(ShapeError):
+            ad.mask_rows(x, keep)
+
+
 # -----------------------------------------------------------------------------
 # Inference mode computes only values: forward values and VJPs stay the bits of
 # the eager formulas that used to compute the derivative in the forward pass

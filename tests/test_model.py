@@ -219,25 +219,33 @@ def test_aggregation_matches_naive_reference():
     rng = np.random.default_rng(3)
     g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4)])  # node 5 isolated
     batch = sample_walks(g, SamplerConfig(length=5, rate=1.0), seed=4)
-    seq = rng.standard_normal((batch.n_walks, 6, 3))
+    # Node 3 is a sink: the walk from it is masked after its start, and walks
+    # that reach it take real steps along no edge slot.
+    directed = build_graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)], directed=True)
+    sink_batch = sample_walks(directed, SamplerConfig(length=5, rate=1.0), seed=4)
+    assert not sink_batch.mask.all()
+    assert ((sink_batch.edge_slots < 0) & sink_batch.step_mask()).any()
 
-    agg, visited = aggregate_nodes(Tensor(seq), batch, 6)
-    ref, ref_vis = _naive_aggregate_nodes(seq, batch, 6)
-    assert np.abs(agg.data - ref).max() < 1e-12
-    assert (visited == ref_vis).all()
-    # Rate 1.0 starts a walk everywhere, so even the isolated node is visited
-    # (at its start position; the rest of that walk is masked out).
-    assert visited[5] == 1.0
+    for graph, walks in ((g, batch), (directed, sink_batch)):
+        n = graph.n_nodes
+        seq = rng.standard_normal((walks.n_walks, 6, 3))
+        agg, visited = aggregate_nodes(Tensor(seq), walks, n)
+        ref, ref_vis = _naive_aggregate_nodes(seq, walks, n)
+        assert np.abs(agg.data - ref).max() < 1e-12
+        assert visited.dtype == bool and (visited == ref_vis).all()
+        # Rate 1.0 starts a walk everywhere, so even the isolated node and the
+        # sink are visited (at their start positions; the rest is masked out).
+        assert visited.all()
 
-    const = np.full(6, 2.5)
-    agg_c, _ = aggregate_nodes(Tensor(seq), batch, 6, "constant", const)
-    ref_c, _ = _naive_aggregate_nodes(seq, batch, 6, "constant", const)
-    assert np.abs(agg_c.data - ref_c).max() < 1e-12
+        const = np.full(n, 2.5)
+        agg_c, _ = aggregate_nodes(Tensor(seq), walks, n, const)
+        ref_c, _ = _naive_aggregate_nodes(seq, walks, n, "constant", const)
+        assert np.abs(agg_c.data - ref_c).max() < 1e-12
 
-    agg_e, vis_e = aggregate_edges(Tensor(seq), batch, g.n_slots)
-    ref_e, ref_vis_e = _naive_aggregate_edges(seq, batch, g.n_slots)
-    assert np.abs(agg_e.data - ref_e).max() < 1e-12
-    assert (vis_e == ref_vis_e).all()
+        agg_e, vis_e = aggregate_edges(Tensor(seq), walks, graph.n_slots)
+        ref_e, ref_vis_e = _naive_aggregate_edges(seq, walks, graph.n_slots)
+        assert np.abs(agg_e.data - ref_e).max() < 1e-12
+        assert vis_e.dtype == bool and (vis_e == ref_vis_e).all()
 
 
 def test_aggregate_single_and_double_visits():
@@ -250,6 +258,44 @@ def test_aggregate_single_and_double_visits():
     agg, visited = aggregate_nodes(Tensor(seq), batch, 3)
     assert agg.data.ravel().tolist() == [3.0, 10.0, 0.0]  # node 0 seen twice
     assert visited.tolist() == [1.0, 1.0, 0.0]
+
+
+def test_aggregation_gathers_nothing_and_no_mask_is_a_float_copy(monkeypatch):
+    # Aggregation segments the flat sequence output with a discard id, and
+    # every row mask and visit gate goes through ad.mask_rows, so no forward
+    # multiplies by a constant 0/1 tensor.
+    g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    batch = sample_walks(g, SamplerConfig(length=5, rate=1.0), seed=4)
+    seq = Tensor(np.random.default_rng(5).standard_normal((batch.n_walks, 6, 3)))
+    gathers = []
+    gather_rows = ad.gather_rows
+    monkeypatch.setattr(ad, "gather_rows", lambda *a: gathers.append(a) or gather_rows(*a))
+    aggregate_nodes(seq, batch, 6)
+    aggregate_nodes(seq, batch, 6, norm_constant=np.full(6, 2.0))
+    aggregate_edges(seq, batch, g.n_slots)
+    assert gathers == []
+    monkeypatch.undo()
+
+    float_masks, muls = [], []
+    mul = ad.mul
+
+    def spy(a, b):
+        muls.append(1)
+        float_masks.extend(t.shape for t in (a, b) if isinstance(t, Tensor)
+                           and not t.requires_grad and np.isin(t.data, (0.0, 1.0)).all())
+        return mul(a, b)
+
+    monkeypatch.setattr(ad, "mul", spy)
+    # The criterion-6b training configuration, one taped forward.
+    cfg = ModelConfig(hidden_dim=24, n_blocks=2, seq_layer="conv", kernel=5, window=8,
+                      walk_length=20, node_dim=1, rate=1.0, non_backtracking=True,
+                      head="regression", out_dim=1, pooling="sum", seed=0)
+    graphs = [erdos_renyi_graph(k, 0.3, seed=k, with_features=True, require_connected=True)
+              for k in (6, 8, 10)]
+    with ad.Tape() as tape:
+        Model(cfg).forward(graphs, seed=1)
+    assert tape.records and muls
+    assert float_masks == []
 
 
 # -----------------------------------------------------------------------------
@@ -479,6 +525,19 @@ def test_forward_with_edge_features():
     assert np.isfinite(result.prediction.data).all()
 
 
+def test_forward_on_a_pack_with_no_edges():
+    g = build_graph(3, [], node_features=np.ones((3, 1)))
+    model = Model(_tiny_config(head="regression"), seed=3)
+    with ad.Tape() as tape:
+        result = model.forward([g, g], seed=0)
+        loss = ad.reduce_sum(result.prediction)
+    assert not result.batch.mask[:, 1:].any()
+    assert np.isfinite(result.prediction.data).all()
+    ad.backward(loss, tape, leaves=list(model.params.values()))
+    assert not model.params["edge_embed"].grad.any()
+    assert model.params["node_in.w"].grad.any()
+
+
 def test_unvisited_nodes_keep_their_state_bit_for_bit():
     # With message passing off, a node no walk touches must pass through the
     # block unchanged, regardless of parameter values.
@@ -566,8 +625,8 @@ def test_normalization_variants_agree_when_visits_match_constant():
                       mask=np.ones((4, 2), dtype=bool),
                       start_nodes=np.array([0, 1, 2, 3]), length=1)
     seq = np.random.default_rng(14).standard_normal((4, 2, 3))
-    visits, _ = aggregate_nodes(Tensor(seq), batch, 4, "visits")
-    const, _ = aggregate_nodes(Tensor(seq), batch, 4, "constant", np.full(4, 2.0))
+    visits, _ = aggregate_nodes(Tensor(seq), batch, 4)
+    const, _ = aggregate_nodes(Tensor(seq), batch, 4, np.full(4, 2.0))
     assert np.abs(visits.data - const.data).max() < 1e-14
 
 

@@ -25,20 +25,28 @@ broadcast view instead of a copy, ``reshape`` copies only where numpy cannot
 return a view, and the optimizer rebinds ``data`` rather than writing into it.
 
 Every row scatter -- :func:`segment_mean`, :func:`scatter_add` and the VJP of
-:func:`gather_rows` -- goes through one primitive, :func:`_segment_sum`.
+:func:`gather_rows` -- goes through one primitive, :func:`_segment_sum`, which
+multiplies by the 0/1 incidence of a :class:`Segments` plan. A plan holds one
+index array, range-checked once, with its counts and incidence built on first
+use. The three ops take a plan wherever they take ids and wrap a raw array in a
+one-use plan, so a caller that segments by the same array again and again
+(every block of a forward, and the VJPs) builds it once and passes it on.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse import csr_array
 from scipy.special import erf as _erf
 
-from .errors import ShapeError
+from .errors import BadKernel, ShapeError
 
 __all__ = [
     "Tensor",
@@ -51,7 +59,7 @@ __all__ = [
     "concat", "slice_axis", "expand", "flip_axis",
     "relu", "gelu", "sigmoid", "tanh", "exp", "log", "softplus", "silu",
     "softmax", "log_softmax", "reduce_sum", "reduce_mean",
-    "layernorm", "conv1d_depthwise", "segment_mean", "scatter_add",
+    "layernorm", "conv1d_depthwise", "Segments", "segment_mean", "scatter_add",
     "gather_rows", "associative_scan", "zoh_phi",
 ]
 
@@ -275,12 +283,17 @@ def neg(a) -> Tensor:
 
 def mask_rows(x, keep: np.ndarray) -> Tensor:
     """Zero the rows of ``x`` where the bool ``keep`` (shape ``x.shape[:-1]``)
-    is False. Value ``x * keep[..., None]``, VJP ``g * keep[..., None]``: the
-    same bits as a multiply by a float 0/1 copy of the mask."""
+    is False. Value ``x * keep[..., None]``, VJP ``g * keep[..., None]``, with
+    the mask as a float (..., 1) column: the same bits as a multiply by a
+    full-size float 0/1 copy of the mask. When every row is kept, the value is
+    ``x``'s own array and the VJP passes ``g`` through, since ``x * 1.0`` is
+    ``x`` bit for bit."""
     x, keep = as_tensor(x), np.asarray(keep)
     if x.data.ndim == 0 or keep.dtype != np.bool_ or keep.shape != x.data.shape[:-1]:
         raise ShapeError(f"mask_rows needs a bool {x.shape[:-1]} mask, got {keep.dtype} {keep.shape}")
-    col = keep[..., None]
+    if keep.all():
+        return _emit("mask_rows", x.data, (x,), lambda g: (g,))
+    col = keep[..., None].astype(np.float64)
     return _emit("mask_rows", x.data * col, (x,), lambda g: (g * col,))
 
 
@@ -290,7 +303,14 @@ def mask_rows(x, keep: np.ndarray) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     """Either ``(..., n, k) @ (k, p)`` (shared weights) or
-    ``(..., n, k) @ (..., k, p)`` with identical leading dims."""
+    ``(..., n, k) @ (..., k, p)`` with identical leading dims.
+
+    A shared weight runs as a stack of per-matrix products, in the value and
+    in ``da``, and only ``db`` is one 2-D GEMM. One GEMM on the ``(rows, k)``
+    view of ``a`` would be faster, but OpenBLAS picks its kernel by size, so
+    its bits differ from the per-matrix products for ``p`` of 1 or 2 and, in
+    ``da``, for inner widths of 32 and more.
+    """
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
@@ -301,7 +321,8 @@ def matmul(a, b) -> Tensor:
         out = ad @ bd
 
         def vjp(g):
-            da = g @ bd.T
+            # A constant input (walk encodings, raw features) gets no da.
+            da = g @ bd.T if a.requires_grad else None
             db = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             return da, db
         return _emit("matmul", out, (a, b), vjp)
@@ -529,13 +550,28 @@ def layernorm(a, gain, bias, eps: float = 1e-5) -> Tensor:
 # Convolution, segments, gather/scatter
 # =============================================================================
 
+def _windows(xp: np.ndarray, k: int) -> np.ndarray:
+    """(..., T, D, k) view of the k-row windows along axis -2 of a padded
+    (..., T + k - 1, D) array. ``sliding_window_view`` refuses T = 0, so that
+    case is an empty array."""
+    if xp.shape[-2] < k:
+        return np.empty(xp.shape[:-2] + (0, xp.shape[-1], k))
+    return sliding_window_view(xp, k, axis=-2)
+
+
 def conv1d_depthwise(a, kernel) -> Tensor:
     """Per-channel cross-correlation over axis -2 with zero same-padding.
 
     ``a``: (..., T, D); ``kernel``: (k, D) with odd k. Output matches ``a``.
-    """
-    from .errors import BadKernel
 
+    The value and ``dx`` are each one einsum over a sliding-window view of the
+    padded input (of the padded gradient for ``dx``, with the window axis
+    reversed), and ``dw[j]`` is one einsum per tap. For D >= 2 every output
+    entry adds its k products in tap order j = 0..k-1, starting from zero, so
+    the bits are those of a per-tap loop of full-size multiply-adds. At D = 1
+    einsum reduces the taps (and, for ``dw``, the rows) with its own unrolled
+    sum, which may differ from that loop in the last place.
+    """
     a, kernel = as_tensor(a), as_tensor(kernel)
     x, w = a.data, kernel.data
     if w.ndim != 2:
@@ -549,92 +585,127 @@ def conv1d_depthwise(a, kernel) -> Tensor:
     h = k // 2
     pad = [(0, 0)] * (x.ndim - 2) + [(h, h), (0, 0)]
     xp = np.pad(x, pad)
-    out = np.zeros_like(x)
-    for j in range(k):
-        out += xp[..., j:j + t, :] * w[j]
+    out = np.einsum("...tdj,jd->...td", _windows(xp, k), w)
 
     def vjp(g):
-        gp = np.zeros_like(xp)
-        dw = np.zeros_like(w)
-        for j in range(k):
-            gp[..., j:j + t, :] += g * w[j]
-            dw[j] = (g * xp[..., j:j + t, :]).reshape(-1, d).sum(axis=0)
-        dx = gp[..., h:h + t, :]
+        # dx[s] = sum_j g[s + h - j] w[j]: window s of the padded g, reversed.
+        dx = np.einsum("...tdj,jd->...td", _windows(np.pad(g, pad), k)[..., ::-1], w)
+        m = math.prod(x.shape[:-2])
+        g3, xp3 = g.reshape(m, t, d), xp.reshape(m, t + 2 * h, d)
+        dw = np.stack([np.einsum("mtd,mtd->d", g3, xp3[:, j:j + t]) for j in range(k)])
         return dx, dw
     return _emit("conv1d", out, (a, kernel), vjp)
 
 
-def _segment_sum(x: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
-    """Row scatter: ``out[k]`` is the sum of the rows ``x[i]`` with ``ids[i] == k``.
+class Segments:
+    """A segment plan: the integer index array ``ids`` into ``n`` rows.
+
+    The ids are stored as int64 and range-checked once, here. ``counts`` (rows
+    per id) and ``incidence`` (the matrix :func:`_segment_sum` multiplies by)
+    are built on first use and kept, so every op and VJP that segments by the
+    same plan shares one build.
+
+    Raises
+    ------
+    ShapeError
+        If ``n`` is negative or an id lies outside [0, n).
+    """
+
+    def __init__(self, ids, n: int):
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.n = int(n)
+        if self.n < 0:
+            raise ShapeError(f"segment count must be >= 0, got {self.n}")
+        if self.ids.size and (self.ids.min() < 0 or self.ids.max() >= self.n):
+            raise ShapeError(f"index out of range [0, {self.n})")
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """(n,) int64: how many entries of ``ids`` hold each id."""
+        return np.bincount(self.ids.ravel(), minlength=self.n)
+
+    @cached_property
+    def incidence(self) -> csr_array:
+        """(n, ids.size) 0/1 CSR matrix whose row ``k`` lists the flat
+        positions of id ``k`` in ascending order (a stable argsort)."""
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(self.counts, out=indptr[1:])
+        order = np.argsort(self.ids.ravel(), kind="stable")
+        return csr_array((np.ones(self.ids.size), order, indptr),
+                         shape=(self.n, self.ids.size))
+
+
+def _segment_sum(x: np.ndarray, seg: Segments) -> np.ndarray:
+    """Row scatter: ``out[k]`` is the sum of the rows ``x[i]`` with flat id
+    ``seg.ids[i] == k``.
 
     The package's only scatter, shared by :func:`segment_mean`,
-    :func:`scatter_add` and the VJP of :func:`gather_rows`. It is a product
-    with a 0/1 CSR matrix whose row ``k`` lists the positions of id ``k`` in
-    ascending order (a stable argsort), so each output row adds its inputs one
-    at a time in input order, starting from zero. The sums are therefore the
+    :func:`scatter_add` and the VJP of :func:`gather_rows`. It is the product
+    of ``seg.incidence`` with ``x``, so each output row adds its inputs one at
+    a time in input order, starting from zero. The sums are therefore the
     same, bit for bit, as a sequential row-by-row accumulation.
     """
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ids, minlength=n), out=indptr[1:])
-    order = np.argsort(ids, kind="stable")
-    incidence = csr_array((np.ones(ids.size), order, indptr), shape=(n, x.shape[0]))
-    return incidence @ x
+    return seg.incidence @ x
 
 
-def _row_ids(op: str, x: np.ndarray, ids, n_out: int | None = None) -> np.ndarray:
-    """Check that ``x`` is (N, D) and return the integer ``ids`` as int64.
+def _plan(op: str, x: np.ndarray, ids, n_out: int | None = None) -> Segments:
+    """Check that ``x`` is (N, D) and return ``ids`` as a :class:`Segments`,
+    wrapping a raw array in a one-use plan.
 
     Scatters pass ``n_out``: one id per row of ``x``, each in [0, n_out).
     Gathers pass none: ids of any shape, each in [0, N).
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    if x.ndim != 2 or (n_out is not None and ids.shape != (x.shape[0],)):
-        want = "a (N, D) table" if n_out is None else "(N, D) values and (N,) ids"
-        raise ShapeError(f"{op} needs {want}, got {x.shape}, {ids.shape}")
+    if x.ndim != 2:
+        raise ShapeError(f"{op} needs a 2-D (N, D) array, got {x.shape}")
     n = x.shape[0] if n_out is None else n_out
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise ShapeError(f"{op}: index out of range [0, {n})")
-    return ids
+    seg = ids if isinstance(ids, Segments) else Segments(ids, n)
+    if n_out is not None and seg.ids.shape != (x.shape[0],):
+        raise ShapeError(f"{op} needs (N,) ids for {x.shape} values, got {seg.ids.shape}")
+    if seg.n != n:
+        raise ShapeError(f"{op}: a plan over {seg.n} rows where {n} are needed")
+    return seg
 
 
-def segment_mean(values, segment_ids: np.ndarray, n_segments: int) -> Tensor:
+def segment_mean(values, segment_ids, n_segments: int) -> Tensor:
     """Mean of value rows per segment id; empty segments are zero.
 
-    ``values``: (N, D); ``segment_ids``: (N,) ints in [0, n_segments).
+    ``values``: (N, D); ``segment_ids``: (N,) ints in [0, n_segments), or a
+    :class:`Segments` plan of them.
     """
     values = as_tensor(values)
     x = values.data
-    ids = _row_ids("segment_mean", x, segment_ids, n_segments)
-    counts = np.bincount(ids, minlength=n_segments).astype(x.dtype)
-    denom = np.maximum(counts, 1.0)[:, None]
-    out = _segment_sum(x, ids, n_segments) / denom
+    seg = _plan("segment_mean", x, segment_ids, n_segments)
+    denom = np.maximum(seg.counts.astype(x.dtype), 1.0)[:, None]
+    out = _segment_sum(x, seg) / denom
 
     def vjp(g):
-        return ((g / denom)[ids],)
+        return ((g / denom)[seg.ids],)
     return _emit("segment_mean", out, (values,), vjp)
 
 
-def scatter_add(values, segment_ids: np.ndarray, n_rows: int) -> Tensor:
-    """Sum of value rows per segment id: (N, D) + ids -> (n_rows, D)."""
+def scatter_add(values, segment_ids, n_rows: int) -> Tensor:
+    """Sum of value rows per segment id: (N, D) + ids (or a
+    :class:`Segments` plan) -> (n_rows, D)."""
     values = as_tensor(values)
     x = values.data
-    ids = _row_ids("scatter_add", x, segment_ids, n_rows)
+    seg = _plan("scatter_add", x, segment_ids, n_rows)
 
     def vjp(g):
-        return (g[ids],)
-    return _emit("scatter_add", _segment_sum(x, ids, n_rows), (values,), vjp)
+        return (g[seg.ids],)
+    return _emit("scatter_add", _segment_sum(x, seg), (values,), vjp)
 
 
-def gather_rows(a, index: np.ndarray) -> Tensor:
-    """Row lookup: ``a`` (N, D), integer ``index`` of any shape ->
-    output of shape ``index.shape + (D,)``."""
+def gather_rows(a, index) -> Tensor:
+    """Row lookup: ``a`` (N, D), integer ``index`` of any shape (or a
+    :class:`Segments` plan of it over N rows) -> output of shape
+    ``index.shape + (D,)``."""
     a = as_tensor(a)
     x = a.data
-    idx = _row_ids("gather_rows", x, index)
+    seg = _plan("gather_rows", x, index)
 
     def vjp(g):
-        return (_segment_sum(g.reshape(-1, x.shape[1]), idx.ravel(), x.shape[0]),)
-    return _emit("gather_rows", x[idx], (a,), vjp)
+        return (_segment_sum(g.reshape(-1, x.shape[1]), seg),)
+    return _emit("gather_rows", x[seg.ids], (a,), vjp)
 
 
 # =============================================================================

@@ -14,6 +14,11 @@ transformer instead pads each graph's nodes to one (G, n_max, d) batch and
 runs the walk attention block on it, with padded keys masked. A single graph
 is a batch of one.
 
+Each index array a forward gathers or segments by becomes one
+``autodiff.Segments`` plan, built once and shared by every block and VJP: the
+pack's graph ids, CSR columns and slot sources (cached on the pack), and the
+walk batch's nodes, out-slots and two aggregation ids (``_WalkPlans``).
+
 Skip-connection guarantee: the aggregation update is
 ``h <- h_prev + visited * LN(agg)`` with the bool visited flags applied by
 ``autodiff.mask_rows``, so a node (or edge slot) that no walk touches keeps
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
@@ -176,6 +182,20 @@ class PackedGraphs:
     def n_nodes_per_graph(self) -> np.ndarray:
         return np.diff(self.node_offsets)
 
+    # Segment plans of the pack's index arrays, built on first use and shared
+    # by every block, op and VJP of the forwards that use this pack.
+    @cached_property
+    def _graph_ids_plan(self) -> ad.Segments:
+        return ad.Segments(self.graph_ids, self.n_graphs)
+
+    @cached_property
+    def _col_indices_plan(self) -> ad.Segments:
+        return ad.Segments(self.union.col_indices, self.union.n_nodes)
+
+    @cached_property
+    def _slot_src_plan(self) -> ad.Segments:
+        return ad.Segments(self.union.slot_src, self.union.n_nodes)
+
 
 def pack_graphs(graphs) -> PackedGraphs:
     graphs = list(graphs)
@@ -234,58 +254,103 @@ def _out_slots(batch: WalkBatch) -> np.ndarray:
     return np.pad(slots, ((0, 0), (0, 1)), constant_values=-1)
 
 
-def embed_walks(h_v: Tensor, h_e: Tensor, pe: np.ndarray, batch: WalkBatch,
+class _WalkPlans:
+    """The index arrays of one walk batch on a pack of ``n_nodes`` nodes and
+    ``n_slots`` edge slots, as segment plans. Each is built on first use.
+    ``Model.forward`` makes one per forward, so every block shares them; the
+    walk-level functions wrap a bare :class:`WalkBatch` in a one-use instance.
+    """
+
+    def __init__(self, batch: WalkBatch, n_nodes: int, n_slots: int):
+        self.batch, self.n_nodes, self.n_slots = batch, n_nodes, n_slots
+
+    @cached_property
+    def out_slots(self) -> np.ndarray:
+        return _out_slots(self.batch)
+
+    @cached_property
+    def nodes(self) -> ad.Segments:
+        """The node at each position."""
+        return ad.Segments(self.batch.nodes, self.n_nodes)
+
+    @cached_property
+    def slots(self) -> ad.Segments:
+        """The out-slot of each position, clamped to 0 where there is none."""
+        return ad.Segments(np.maximum(self.out_slots, 0), self.n_slots)
+
+    @cached_property
+    def node_rows(self) -> ad.Segments:
+        """Flat node id per position, with the discard id ``n_nodes`` at
+        masked positions."""
+        ids = np.where(self.batch.mask, self.batch.nodes, self.n_nodes)
+        return ad.Segments(ids.ravel(), self.n_nodes + 1)
+
+    @cached_property
+    def slot_rows(self) -> ad.Segments:
+        """Flat out-slot per position, with the discard id ``n_slots`` where
+        no step leaves it."""
+        ids = np.where(self.out_slots >= 0, self.out_slots, self.n_slots)
+        return ad.Segments(ids.ravel(), self.n_slots + 1)
+
+
+def _walk_plans(batch: WalkBatch | _WalkPlans, n_nodes: int = 0,
+                n_slots: int = 0) -> _WalkPlans:
+    return batch if isinstance(batch, _WalkPlans) else _WalkPlans(batch, n_nodes, n_slots)
+
+
+def embed_walks(h_v: Tensor, h_e: Tensor, pe: np.ndarray, batch: WalkBatch | _WalkPlans,
                 params: dict, prefix: str) -> Tensor:
     """Per-position walk embeddings:
     ``h_V(w_i) + proj_edge(h_E(w_i w_{i+1})) + proj_pe(pe_i)``.
 
+    ``batch`` is a :class:`WalkBatch` or the walk plans of ``Model.forward``.
     The edge input of a position with no step leaving it is zero before
     projection; fully padded rows are zeroed at the end.
     """
-    slots = _out_slots(batch)
-    edge_rows = (ad.gather_rows(h_e, np.maximum(slots, 0)) if h_e.shape[0]
+    walks = _walk_plans(batch, h_v.shape[0], h_e.shape[0])
+    slots = walks.out_slots
+    edge_rows = (ad.gather_rows(h_e, walks.slots) if h_e.shape[0]
                  else Tensor(np.zeros(slots.shape + h_e.shape[1:])))   # a pack with no edges
     edge_in = _linear(ad.mask_rows(edge_rows, slots >= 0), params, f"{prefix}.proj_edge")
-    out = ad.add(ad.gather_rows(h_v, batch.nodes), edge_in)
+    out = ad.add(ad.gather_rows(h_v, walks.nodes), edge_in)
     out = ad.add(out, _linear(Tensor(pe), params, f"{prefix}.proj_pe"))
-    return ad.mask_rows(out, batch.mask)
+    return ad.mask_rows(out, walks.batch.mask)
 
 
-def _average_rows(seq_out: Tensor, ids: np.ndarray, n_rows: int,
+def _average_rows(seq_out: Tensor, rows: ad.Segments, n_rows: int,
                   norm_constant: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
     """Average the rows of the flat (walk, position) sequence output per id of
-    the (m, T) ``ids``, dividing by the visit count or by ``norm_constant``.
+    the plan ``rows``, dividing by the visit count or by ``norm_constant``.
     Positions holding the discard id ``n_rows`` fill one extra, dropped row.
     Returns (average, bool visited flag per id)."""
     m, n_pos, d = seq_out.shape
-    ids = ids.ravel()
     segment = ad.segment_mean if norm_constant is None else ad.scatter_add
-    agg = ad.slice_axis(segment(ad.reshape(seq_out, (m * n_pos, d)), ids, n_rows + 1),
+    agg = ad.slice_axis(segment(ad.reshape(seq_out, (m * n_pos, d)), rows, n_rows + 1),
                         0, 0, n_rows)
     if norm_constant is not None:
         agg = ad.mul(agg, ad.expand(Tensor(1.0 / norm_constant[:, None]), (n_rows, d)))
-    return agg, np.bincount(ids, minlength=n_rows + 1)[:n_rows] > 0
+    return agg, rows.counts[:n_rows] > 0
 
 
-def aggregate_nodes(seq_out: Tensor, batch: WalkBatch, n_nodes: int,
+def aggregate_nodes(seq_out: Tensor, batch: WalkBatch | _WalkPlans, n_nodes: int,
                     norm_constant: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
     """Average sequence outputs over each node's walk occurrences.
 
+    ``batch`` is a :class:`WalkBatch` or the walk plans of ``Model.forward``.
     Returns (aggregate, visited) where ``visited`` is the bool per-node flag
     of having at least one unmasked occurrence. The sum is divided by the
     empirical visit count, or by the per-node ``norm_constant`` when one is
     given (the constant normalization).
     """
-    return _average_rows(seq_out, np.where(batch.mask, batch.nodes, n_nodes), n_nodes,
+    return _average_rows(seq_out, _walk_plans(batch, n_nodes=n_nodes).node_rows, n_nodes,
                          norm_constant)
 
 
-def aggregate_edges(seq_out: Tensor, batch: WalkBatch,
+def aggregate_edges(seq_out: Tensor, batch: WalkBatch | _WalkPlans,
                     n_slots: int) -> tuple[Tensor, np.ndarray]:
     """Average the sequence output at each step's source position over the
-    edge slots the steps traversed."""
-    slots = _out_slots(batch)
-    return _average_rows(seq_out, np.where(slots >= 0, slots, n_slots), n_slots)
+    edge slots the steps traversed. ``batch`` is as in :func:`aggregate_nodes`."""
+    return _average_rows(seq_out, _walk_plans(batch, n_slots=n_slots).slot_rows, n_slots)
 
 
 def local_mp_gin(pack: PackedGraphs, h_v: Tensor, h_e: Tensor,
@@ -294,9 +359,9 @@ def local_mp_gin(pack: PackedGraphs, h_v: Tensor, h_e: Tensor,
     ``h + MLP((1 + eps) h(v) + sum_u relu(h(u) + proj(h_E(uv))))``."""
     union = pack.union
     if union.n_slots:
-        msg = ad.add(ad.gather_rows(h_v, union.col_indices),
+        msg = ad.add(ad.gather_rows(h_v, pack._col_indices_plan),
                      _linear(h_e, params, f"{prefix}.gin_edge"))
-        neigh = ad.scatter_add(ad.relu(msg), union.slot_src, union.n_nodes)
+        neigh = ad.scatter_add(ad.relu(msg), pack._slot_src_plan, union.n_nodes)
     else:
         neigh = Tensor(np.zeros_like(h_v.data))
     eps = params[f"{prefix}.gin_eps"]
@@ -306,11 +371,13 @@ def local_mp_gin(pack: PackedGraphs, h_v: Tensor, h_e: Tensor,
     return ad.add(h_v, _mlp(core, params, f"{prefix}.gin_mlp"))
 
 
-def global_mp_virtual_node(h_v: Tensor, star_prev: Tensor, graph_ids: np.ndarray,
-                           n_graphs: int, params: dict,
-                           prefix: str) -> tuple[Tensor, Tensor]:
+def global_mp_virtual_node(h_v: Tensor, star_prev: Tensor,
+                           graph_ids: np.ndarray | ad.Segments, n_graphs: int,
+                           params: dict, prefix: str) -> tuple[Tensor, Tensor]:
     """Virtual-node exchange: star = MLP(star_prev + sum_v h(v)) per graph,
-    then every node receives its graph's star state additively."""
+    then every node receives its graph's star state additively.
+    ``graph_ids`` is an array or its :class:`~neuralwalker.autodiff.Segments`
+    plan."""
     sums = ad.scatter_add(h_v, graph_ids, n_graphs)
     star = _mlp(ad.add(star_prev, sums), params, f"{prefix}.vn_mlp")
     h_out = ad.add(h_v, ad.gather_rows(star, graph_ids))
@@ -465,22 +532,23 @@ class Model:
         star = Tensor(np.zeros((pack.n_graphs, cfg.hidden_dim)))
         const = (self._norm_constants(pack, walk_gids, batch.length)
                  if cfg.normalization == "constant" else None)
+        walks = _WalkPlans(batch, pack.union.n_nodes, pack.union.n_slots)
         for t in range(cfg.n_blocks):
             p = f"block{t}"
-            h_w = embed_walks(h_v, h_e, pe, batch, self.params, p)
+            h_w = embed_walks(h_v, h_e, pe, walks, self.params, p)
             seq_out = self.seq_layers[t](h_w, batch.mask)
-            agg_v, visited_v = aggregate_nodes(seq_out, batch, pack.union.n_nodes, const)
+            agg_v, visited_v = aggregate_nodes(seq_out, walks, pack.union.n_nodes, const)
             h_v = ad.add(h_v, ad.mask_rows(_layernorm(agg_v, self.params, f"{p}.ln_node"),
                                            visited_v))
             if pack.union.n_slots:
-                agg_e, visited_e = aggregate_edges(seq_out, batch, pack.union.n_slots)
+                agg_e, visited_e = aggregate_edges(seq_out, walks, pack.union.n_slots)
                 h_e = ad.add(h_e, ad.mask_rows(_layernorm(agg_e, self.params, f"{p}.ln_edge"),
                                                visited_e))
             if cfg.local_mp == "gin":
                 h_v = _layernorm(local_mp_gin(pack, h_v, h_e, self.params, p),
                                  self.params, f"{p}.ln_local")
             if cfg.global_mp == "virtual_node":
-                h_v, star = global_mp_virtual_node(h_v, star, pack.graph_ids,
+                h_v, star = global_mp_virtual_node(h_v, star, pack._graph_ids_plan,
                                                    pack.n_graphs, self.params, p)
                 h_v = _layernorm(h_v, self.params, f"{p}.ln_global")
             elif cfg.global_mp == "transformer":
@@ -495,9 +563,9 @@ class Model:
         cfg = self.config
         pooled = None
         if cfg.pooling == "mean":
-            pooled = ad.segment_mean(h_v, pack.graph_ids, pack.n_graphs)
+            pooled = ad.segment_mean(h_v, pack._graph_ids_plan, pack.n_graphs)
         elif cfg.pooling == "sum":
-            pooled = ad.scatter_add(h_v, pack.graph_ids, pack.n_graphs)
+            pooled = ad.scatter_add(h_v, pack._graph_ids_plan, pack.n_graphs)
         pred = None
         if cfg.head != "none":
             if pooled is None:

@@ -7,7 +7,7 @@ import pytest
 
 from neuralwalker import autodiff as ad
 from neuralwalker.autodiff import Tape, Tensor, backward
-from neuralwalker.errors import ShapeError
+from neuralwalker.errors import BadKernel, ShapeError
 
 from conftest import fd_gradcheck, random_tensor
 
@@ -254,8 +254,128 @@ def test_segment_sum_matches_add_at_bit_for_bit(rng):
         x[rng.random(n_rows) < 0.2] = 0.0                          # whole zero rows
         ref = np.zeros((n_out, 3))
         np.add.at(ref, ids, x)
-        out = ad._segment_sum(x, ids, n_out)
+        out = ad._segment_sum(x, ad.Segments(ids, n_out))
         assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+
+
+def _probe(shape) -> np.ndarray:
+    """A fixed output gradient with some -0.0 entries."""
+    rng = np.random.default_rng(31)
+    g = rng.standard_normal(shape)
+    g[rng.random(shape) < 0.1] = -0.0
+    return g
+
+
+def _taped(op, *arrays):
+    """Value and VJP pieces of ``op`` on leaf tensors of ``arrays`` (kept
+    uncopied, strides and all), for the output gradient ``_probe``."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = op(*leaves)
+    g = _probe(out.shape)
+    return (out.data,) + tuple(tape.records[-1].vjp(g))
+
+
+@pytest.mark.parametrize("op", ["segment_mean", "scatter_add", "gather_rows"])
+def test_raw_ids_and_a_segment_plan_give_the_same_bits(rng, op):
+    ids = rng.integers(0, 6, size=40)                      # ids 6 and 7 stay empty
+    x = rng.standard_normal((40 if op != "gather_rows" else 8, 5))
+    x[rng.random(x.shape) < 0.1] = -0.0
+    plan = ad.Segments(ids, 8)
+    fn = getattr(ad, op)
+    raw = _taped(lambda t: fn(t, ids) if op == "gather_rows" else fn(t, ids, 8), x)
+    planned = [_taped(lambda t: fn(t, plan) if op == "gather_rows" else fn(t, plan, 8), x)
+               for _ in range(2)]                          # the second call reuses the build
+    for again in planned:
+        assert [a.tobytes() for a in again] == [a.tobytes() for a in raw]
+    assert plan.counts.tolist() == np.bincount(ids, minlength=8).tolist()
+
+
+def test_a_segment_plan_that_does_not_fit_raises_shape_error():
+    for ids, n in ((np.array([0, 3]), 3), (np.array([-1, 0]), 2), (np.array([], int), -1)):
+        with pytest.raises(ShapeError):
+            ad.Segments(ids, n)
+    plan = ad.Segments(np.array([0, 1, 1]), 2)
+    with pytest.raises(ShapeError):                        # n does not fit
+        ad.scatter_add(Tensor(np.ones((3, 2))), plan, 3)
+    with pytest.raises(ShapeError):
+        ad.segment_mean(Tensor(np.ones((3, 2))), plan, 1)
+    with pytest.raises(ShapeError):                        # length does not fit
+        ad.scatter_add(Tensor(np.ones((4, 2))), plan, 2)
+    with pytest.raises(ShapeError):                        # gathers from 2 rows only
+        ad.gather_rows(Tensor(np.ones((3, 2))), plan)
+    assert ad.gather_rows(Tensor(np.ones((2, 2))), plan).shape == (3, 2)
+
+
+def _conv_per_tap(x, w, g):
+    """The per-tap loop of full-size multiply-adds that conv1d_depthwise's
+    einsums must reproduce bit for bit: value, dx, dw."""
+    k, d = w.shape
+    t, h = x.shape[-2], k // 2
+    pad = [(0, 0)] * (x.ndim - 2) + [(h, h), (0, 0)]
+    xp = np.pad(x, pad)
+    out = np.zeros_like(x)
+    for j in range(k):
+        out += xp[..., j:j + t, :] * w[j]
+    gp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for j in range(k):
+        gp[..., j:j + t, :] += g * w[j]
+        dw[j] = (g * xp[..., j:j + t, :]).reshape(-1, d).sum(axis=0)
+    return out, gp[..., h:h + t, :], dw
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+@pytest.mark.parametrize("shape", [(1, 21, 24), (3, 7, 5), (64, 11, 32), (6, 2, 4),
+                                   (2, 3, 21, 24), (4, 0, 6), (0, 5, 3), (2, 1, 2)],
+                         ids=["walk", "small", "wide", "k_over_T", "4d", "T0", "m0", "T1"])
+def test_conv1d_depthwise_bits_equal_the_per_tap_loop(shape, k):
+    rng = np.random.default_rng(k * 100 + len(shape))
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, size=shape[:-1] + (1,))
+    x[rng.random(shape[:-1]) < 0.25] = 0.0                 # masked zero rows
+    x[rng.random(shape) < 0.1] = -0.0
+    w = rng.standard_normal((k, shape[-1]))
+    w[rng.random(w.shape) < 0.2] = -0.0
+    got = _taped(ad.conv1d_depthwise, x, w)
+    g = _probe(shape)
+    for a, b in zip(got, _conv_per_tap(x, w, g)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_conv1d_depthwise_on_one_channel_is_within_rounding_of_the_per_tap_loop(rng):
+    # At D = 1 numpy reduces the taps and the rows with its own unrolled
+    # sums, so there the promise is the float64 bound of a reordered sum:
+    # n terms * eps * the sum of the terms' magnitudes.
+    x, w = rng.standard_normal((9, 13, 1)), rng.standard_normal((5, 1))
+    got = _taped(ad.conv1d_depthwise, x, w)
+    g = _probe(x.shape)
+    magnitudes = _conv_per_tap(np.abs(x), np.abs(w), np.abs(g))
+    for a, b, size, n_terms in zip(got, _conv_per_tap(x, w, g), magnitudes, (5, 5, x.size)):
+        assert np.all(np.abs(a - b) <= n_terms * np.finfo(np.float64).eps * size)
+
+
+def test_conv1d_depthwise_rejects_even_kernels_and_channel_mismatch():
+    with pytest.raises(BadKernel):
+        ad.conv1d_depthwise(Tensor(np.ones((2, 5, 3))), Tensor(np.ones((4, 3))))
+    with pytest.raises(ShapeError):
+        ad.conv1d_depthwise(Tensor(np.ones((2, 5, 3))), Tensor(np.ones((3, 2))))
+
+
+@pytest.mark.parametrize("p", [1, 15, 24, 48])
+@pytest.mark.parametrize("layout", ["3d", "4d", "transposed"])
+def test_shared_weight_matmul_bits_equal_a_per_matrix_loop(layout, p):
+    rng = np.random.default_rng(p)
+    a = {"3d": lambda: rng.standard_normal((64, 21, 24)),
+         "4d": lambda: rng.standard_normal((2, 5, 21, 24)),
+         "transposed": lambda: rng.standard_normal((21, 64, 24)).transpose(1, 0, 2)}[layout]()
+    b = rng.standard_normal((24, p))
+    value, da, db = _taped(ad.matmul, a, b)
+    mats = a.reshape((-1,) + a.shape[-2:])
+    g = _probe(value.shape)
+    gs = g.reshape((-1,) + g.shape[-2:])
+    assert value.tobytes() == np.stack([m @ b for m in mats]).reshape(value.shape).tobytes()
+    assert da.tobytes() == np.stack([gm @ b.T for gm in gs]).reshape(a.shape).tobytes()
+    assert db.tobytes() == (a.reshape(-1, 24).T @ g.reshape(-1, p)).tobytes()
 
 
 def test_conv1d_box_kernel_averages_neighbors():
@@ -397,14 +517,16 @@ def test_mask_rows_bits_equal_a_multiply_by_the_float_copy(shape):
     x = rng.normal(size=shape)
     specials = np.array([-np.inf, np.inf, -0.0, 0.0, -3.5])
     x[..., 0] = np.resize(specials, shape[:-1])      # every row has one, kept or not
-    keep = np.resize([True, False, False, True, True, False, True], shape[:-1])
     g = rng.normal(size=shape)
-    float_copy = np.broadcast_to(keep[..., None], shape).astype(np.float64)
-    with np.errstate(invalid="ignore"):               # 0 * inf
-        got = _value_and_vjp(lambda t: ad.mask_rows(t, keep), x, g)
-        want = _value_and_vjp(lambda t: ad.mul(t, Tensor(float_copy)), x, g)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
+    g[..., -1] = -0.0
+    pattern = np.resize([True, False, False, True, True, False, True], shape[:-1])
+    for keep in (pattern, np.ones(shape[:-1], dtype=bool)):   # the second keeps every row
+        float_copy = np.broadcast_to(keep[..., None], shape).astype(np.float64)
+        with np.errstate(invalid="ignore"):           # 0 * inf
+            got = _value_and_vjp(lambda t: ad.mask_rows(t, keep), x, g)
+            want = _value_and_vjp(lambda t: ad.mul(t, Tensor(float_copy)), x, g)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_mask_rows_rejects_a_mask_of_the_wrong_shape():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from neuralwalker import autodiff as ad
+from neuralwalker import model as model_module
 from neuralwalker.autodiff import Tensor
 from neuralwalker.errors import ParseError, ShapeError, Unsupported
 from neuralwalker.graphs import (
@@ -296,6 +297,47 @@ def test_aggregation_gathers_nothing_and_no_mask_is_a_float_copy(monkeypatch):
         Model(cfg).forward(graphs, seed=1)
     assert tape.records and muls
     assert float_masks == []
+
+
+def test_a_training_step_builds_each_segment_plan_once(monkeypatch):
+    # Model.forward makes one segment plan per index array: per pack the
+    # column indices, slot sources and graph ids; per walk batch the walk
+    # nodes, the clamped out-slots and the two aggregation ids. Each plan
+    # builds its incidence once for every block, op and VJP.
+    builds = []
+    csr_array = ad.csr_array
+    monkeypatch.setattr(ad, "csr_array", lambda *a, **k: builds.append(a) or csr_array(*a, **k))
+    cfg = ModelConfig(hidden_dim=24, n_blocks=2, seq_layer="conv", kernel=5, window=8,
+                      walk_length=20, node_dim=1, rate=1.0, non_backtracking=True,
+                      head="regression", out_dim=1, pooling="sum", seed=0)
+    graphs = [erdos_renyi_graph(k, 0.3, seed=k, with_features=True, require_connected=True)
+              for k in (6, 8, 10)]
+    model = Model(cfg)
+    with ad.Tape() as tape:
+        result = model.forward(graphs, seed=1)
+        loss = ad.reduce_sum(ad.mul(result.prediction, result.prediction))
+    ad.backward(loss, tape, leaves=model.params.values())
+    assert 0 < len(builds) <= 7                # one build per call: 17
+    builds.clear()
+    model.forward(graphs, seed=1)
+    assert 0 < len(builds) <= 4                # one build per call: 9
+
+
+def test_walk_plans_over_other_sizes_raise_shape_error():
+    g = path_graph(4)
+    batch = sample_walks(g, SamplerConfig(length=3, rate=1.0), seed=2)
+    seq = Tensor(np.ones((batch.n_walks, 4, 2)))
+    plans = model_module._WalkPlans(batch, 5, g.n_slots + 1)
+    with pytest.raises(ShapeError):
+        aggregate_nodes(seq, plans, 4)
+    with pytest.raises(ShapeError):
+        aggregate_edges(seq, plans, g.n_slots)
+    fitting = model_module._WalkPlans(batch, 4, g.n_slots)
+    for got, want in ((aggregate_nodes(seq, fitting, 4), aggregate_nodes(seq, batch, 4)),
+                      (aggregate_edges(seq, fitting, g.n_slots),
+                       aggregate_edges(seq, batch, g.n_slots))):
+        assert got[0].data.tobytes() == want[0].data.tobytes()
+        assert got[1].tolist() == want[1].tolist()
 
 
 # -----------------------------------------------------------------------------

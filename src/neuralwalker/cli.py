@@ -163,8 +163,9 @@ def _cmd_train(args) -> list[str]:
         config = ModelConfig.from_json(_read_text(args.config))
     else:
         config = ModelConfig()
-    config.node_dim = dataset.graphs[0].node_dim
-    config.edge_dim = dataset.graphs[0].edge_dim
+    train_graphs, _ = dataset.subset("train")
+    config.node_dim = train_graphs[0].node_dim
+    config.edge_dim = train_graphs[0].edge_dim
     if dataset.task == "classification":
         config.head, config.n_classes = "classification", dataset.n_classes
     else:

@@ -63,9 +63,18 @@ class TaskDataset:
                 raise ParseError(f"split {name!r} indexes out of range")
 
     def subset(self, split: str) -> tuple[list, np.ndarray]:
+        """The graphs and targets of ``split``.
+
+        Raises
+        ------
+        ParseError
+            If the dataset has no split of that name, or it is empty.
+        """
         if split not in self.splits:
             raise ParseError(f"no split {split!r}; have {sorted(self.splits)}")
         idx = np.asarray(self.splits[split], dtype=np.int64)
+        if idx.size == 0:
+            raise ParseError(f"split {split!r} is empty")
         return [self.graphs[i] for i in idx], self.targets[idx]
 
 

@@ -258,7 +258,9 @@ def build_graph(
     """
     if n_nodes < 0:
         raise BadIndex(f"n_nodes must be >= 0, got {n_nodes}")
-    edge_arr = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    edge_arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     n_in = edge_arr.shape[0]
 
     if node_features is None:
@@ -326,26 +328,14 @@ def is_connected(graph: Graph) -> bool:
     n = graph.n_nodes
     if n <= 1:
         return True
-    if graph.directed:
-        # Symmetrize for reachability purposes.
-        undirected_deg = np.bincount(
-            np.concatenate([graph.slot_src, graph.col_indices]), minlength=n
-        )
-        if np.any(undirected_deg == 0):
-            return False
+    if graph.directed:  # BFS the undirected graph on the arcs' node pairs
+        src, dst = graph.slot_src, graph.col_indices
+        keys = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst))
+        graph = build_graph(n, np.stack([keys // n, keys % n], axis=1))
+    offsets, dst = graph.row_offsets, graph.col_indices
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
     frontier = np.array([0], dtype=np.int64)
-    # For directed graphs build a symmetric neighbor lookup once.
-    if graph.directed:
-        src = np.concatenate([graph.slot_src, graph.col_indices])
-        dst = np.concatenate([graph.col_indices, graph.slot_src])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    else:
-        offsets, dst = graph.row_offsets, graph.col_indices
     while frontier.size:
         nxt = []
         for v in frontier:
@@ -360,6 +350,13 @@ def is_connected(graph: Graph) -> bool:
 
 def disjoint_union(graphs) -> tuple[Graph, np.ndarray]:
     """Block-diagonal union of graphs with shared feature widths.
+
+    The members must be valid graphs, as ``build_graph`` makes them. The
+    union's slots are the members' slots in member order, their node indices
+    shifted by the member's node offset, so the union equals ``build_graph``
+    on the offset edge list without validating, mirroring or sorting it
+    again. All of its arrays are fresh: no member array is aliased or
+    modified.
 
     Returns
     -------
@@ -377,24 +374,19 @@ def disjoint_union(graphs) -> tuple[Graph, np.ndarray]:
             raise Unsupported("disjoint_union requires matching directedness and feature widths")
     offsets = np.zeros(len(graphs) + 1, dtype=np.int64)
     np.cumsum([g.n_nodes for g in graphs], out=offsets[1:])
-    edges = []
-    feats = []
-    for g, off in zip(graphs, offsets[:-1]):
-        if g.directed:
-            pairs = np.stack([g.slot_src, g.col_indices], axis=1)
-            f = g.edge_features
-        else:
-            keep = g.slot_src < g.col_indices
-            pairs = np.stack([g.slot_src[keep], g.col_indices[keep]], axis=1)
-            f = g.edge_features[keep]
-        edges.append(pairs + off)
-        feats.append(f)
-    union = build_graph(
-        int(offsets[-1]),
-        np.concatenate(edges) if edges else np.zeros((0, 2), dtype=np.int64),
-        node_features=np.concatenate([g.node_features for g in graphs]),
-        edge_features=np.concatenate(feats),
+    slots = np.zeros_like(offsets)
+    np.cumsum([g.n_slots for g in graphs], out=slots[1:])
+    row_offsets = np.concatenate([g.row_offsets[:-1] for g in graphs] + [slots[-1:]])
+    row_offsets[:-1] += np.repeat(slots[:-1], np.diff(offsets))
+    shift = np.repeat(offsets[:-1], np.diff(slots))
+    union = Graph(
+        n_nodes=int(offsets[-1]),
         directed=directed,
+        row_offsets=row_offsets,
+        col_indices=np.concatenate([g.col_indices for g in graphs]) + shift,
+        slot_src=np.concatenate([g.slot_src for g in graphs]) + shift,
+        node_features=np.concatenate([g.node_features for g in graphs]),
+        edge_features=np.concatenate([g.edge_features for g in graphs]),
     )
     return union, offsets
 
@@ -592,51 +584,50 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
     Construction: union of d/2 independent random Hamiltonian cycles. Duplicate
     edges between cycles are repaired by 2-opt swaps inside the later cycle;
     the first cycle is never edited, which keeps the result connected.
+
+    Each cycle is an int64 array of edge keys ``lo * n + hi``. A repair round
+    visits the cycle's duplicates -- its edges found in earlier cycles, then its
+    repeats of an edge at a lower position, each in ascending position -- and
+    swaps each one with a random partner edge that makes no new duplicate.
+    The first cycle has no duplicates, so it draws nothing from ``rng``.
     """
     if d % 2 != 0 or d <= 0:
         raise Unsupported(f"random_regular_graph needs even positive degree, got {d}")
     if d >= n:
         raise Unsupported(f"degree {d} too large for {n} nodes")
     rng = np.random.default_rng(seed)
-
-    def cycle_pairs(perm: np.ndarray) -> np.ndarray:
-        nxt = np.roll(perm, -1)
-        lo, hi = np.minimum(perm, nxt), np.maximum(perm, nxt)
-        return np.stack([lo, hi], axis=1)
-
     cycles = [rng.permutation(n) for _ in range(d // 2)]
-    edge_set = {(int(a), int(b)) for a, b in cycle_pairs(cycles[0])}
-    all_pairs = [cycle_pairs(cycles[0])]
-    for perm in cycles[1:]:
-        pairs = [tuple(int(x) for x in row) for row in cycle_pairs(perm)]
+    # Sorted keys of the cycles done, closed by n * n, which no edge key reaches,
+    # so a lookup in ``known`` never runs past the end.
+    earlier = np.array([n * n])
+
+    def known(keys):
+        return earlier[np.searchsorted(earlier, keys)] == keys
+
+    for perm in cycles:
+        nxt = np.roll(perm, -1)
+        keys = np.minimum(perm, nxt) * n + np.maximum(perm, nxt)
         for _ in range(200):
-            dup_positions = [i for i, pr in enumerate(pairs) if pr in edge_set]
-            # Also repair duplicates *within* this cycle's pair list.
-            seen: dict[tuple, int] = {}
-            for i, pr in enumerate(pairs):
-                if pr in seen and i not in dup_positions:
-                    dup_positions.append(i)
-                seen.setdefault(pr, i)
-            if not dup_positions:
+            hit = known(keys)
+            repeat = ~hit
+            repeat[np.unique(keys, return_index=True)[1]] = False
+            dups = np.concatenate([np.flatnonzero(hit), np.flatnonzero(repeat)])
+            if not dups.size:
                 break
-            for i in dup_positions:
-                a, b = pairs[i]
+            for i in dups.tolist():
+                a, b = divmod(int(keys[i]), n)
                 for _ in range(50):
-                    j = int(rng.integers(len(pairs)))
-                    x, y = pairs[j]
-                    if len({a, b, x, y}) < 4:
+                    j = int(rng.integers(n))
+                    x, y = divmod(int(keys[j]), n)
+                    if a in (x, y) or b in (x, y):
                         continue
-                    p1 = (min(a, x), max(a, x))
-                    p2 = (min(b, y), max(b, y))
-                    if p1 in edge_set or p2 in edge_set or p1 == p2:
+                    swapped = np.array([min(a, x) * n + max(a, x), min(b, y) * n + max(b, y)])
+                    if swapped[0] == swapped[1] or known(swapped).any():
                         continue
-                    pairs[i], pairs[j] = p1, p2
+                    keys[[i, j]] = swapped
                     break
         else:
             raise Unsupported("could not repair duplicate edges; lower d or change seed")
-        if any(pr in edge_set for pr in pairs) or len(set(pairs)) != len(pairs):
-            raise Unsupported("could not repair duplicate edges; lower d or change seed")
-        edge_set.update(pairs)
-        all_pairs.append(np.asarray(pairs, dtype=np.int64))
-    edges = np.concatenate(all_pairs, axis=0)
-    return build_graph(n, edges)
+        earlier = np.sort(np.concatenate([keys, earlier]))
+    edges = earlier[:-1]
+    return build_graph(n, np.stack([edges // n, edges % n], axis=1))

@@ -77,6 +77,11 @@ def child_seeds(master_seed: int, n: int) -> np.ndarray:
         return _mix64(_U64(master_seed & 0xFFFFFFFFFFFFFFFF) + j * _GOLDEN)
 
 
+def _salted_rng(seed: int, salt: int) -> np.random.Generator:
+    """A PCG64 generator on the stream that ``salt`` splits off ``seed``."""
+    return np.random.default_rng(_U64(_mix64(_U64(seed & 0xFFFFFFFFFFFFFFFF) ^ _U64(salt))))
+
+
 def _uniform01(seeds: np.ndarray, counter: int | np.uint64) -> np.ndarray:
     """One double in [0, 1) per seed at the given stream position."""
     with np.errstate(over="ignore"):
@@ -234,7 +239,7 @@ def stationary_distribution(graph: Graph) -> np.ndarray:
 
 
 def _distinct_starts(graph: Graph, m: int, distribution: str, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(np.uint64(_mix64(_U64(seed & 0xFFFFFFFFFFFFFFFF) ^ _U64(0xA5A5A5A5))))
+    rng = _salted_rng(seed, 0xA5A5A5A5)
     n = graph.n_nodes
     if distribution == "uniform":
         return rng.permutation(n)[:m].astype(np.int64)
@@ -369,12 +374,9 @@ def transition(graph: Graph, current: int, previous: int | None,
     nbrs = graph.neighbors(current)
     if nbrs.shape[0] == 0:
         return current
+    allowed = nbrs
     if non_backtracking and previous is not None and nbrs.shape[0] >= 2:
-        allowed = nbrs[nbrs != previous]
-        if allowed.shape[0] == 0:  # cannot happen for simple graphs, kept for clarity
-            allowed = nbrs
-    else:
-        allowed = nbrs
+        allowed = nbrs[nbrs != previous]  # CSR rows hold distinct targets: never empty
     return int(allowed[rng.integers(allowed.shape[0])])
 
 
@@ -399,7 +401,7 @@ def measure_cover_time(graph: Graph, trials: int, seed: int,
     n = graph.n_nodes
     if step_cap is None:
         step_cap = max(1000, 400 * n * max(graph.n_edges, 1))
-    rng = np.random.default_rng(np.uint64(_mix64(_U64(seed & 0xFFFFFFFFFFFFFFFF) ^ _U64(0xC0FFEE))))
+    rng = _salted_rng(seed, 0xC0FFEE)
     out = np.zeros(trials, dtype=np.int64)
     for t in range(trials):
         cur = int(rng.integers(n))

@@ -152,6 +152,8 @@ def train_model(model: Model, dataset: TaskDataset, log_fn=None,
     ------
     BadSchedule
         If ``eval_every`` is below 1 or ``target_value`` is NaN.
+    ParseError
+        If the train or val split is missing or empty.
     """
     if eval_every < 1:
         raise BadSchedule(f"eval_every must be at least 1, got {eval_every}")
@@ -159,6 +161,7 @@ def train_model(model: Model, dataset: TaskDataset, log_fn=None,
         raise BadSchedule("target_value is NaN, which no metric can reach")
     cfg = model.config
     train_graphs, train_targets = dataset.subset("train")
+    dataset.subset("val")  # a missing or empty val split fails before any epoch runs
     n_train = len(train_graphs)
     batches = _batched_indices(n_train, cfg.batch_size)
     total_steps = max(cfg.epochs * len(batches), 1)

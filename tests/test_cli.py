@@ -561,3 +561,46 @@ def test_threads_flag_is_gone(capsys, k3_path):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "2", "sample", "--graph", k3_path, "--length", "2"])
     assert exc.value.code == 2
+
+
+@pytest.fixture
+def empty_data_dirs(tmp_path):
+    """Dataset directories with no graphs, an empty val split, and an empty
+    train split."""
+    from neuralwalker.datasets import TaskDataset, make_cycle_path_dataset, save_dataset
+    dirs = {"no_graphs": TaskDataset(name="none", task="classification", graphs=[],
+                                     targets=np.zeros(0, dtype=np.int64),
+                                     splits={"train": [], "val": [], "test": []}),
+            "empty_val": make_cycle_path_dataset(seed=0, n_train=4, n_val=0, n_test=2,
+                                                 min_nodes=4, max_nodes=5),
+            "empty_train": make_cycle_path_dataset(seed=0, n_train=0, n_val=2, n_test=2,
+                                                   min_nodes=4, max_nodes=5)}
+    for name, dataset in dirs.items():
+        save_dataset(dataset, str(tmp_path / name))
+    return {name: str(tmp_path / name) for name in dirs}
+
+
+@pytest.mark.parametrize("case", ["no_graphs", "empty_val", "empty_train"])
+def test_train_on_an_empty_split_exits_3(capsys, empty_data_dirs, config_path, case):
+    code, out = run_cli(capsys, ["train", "--data", empty_data_dirs[case],
+                                 "--config", config_path, "--epochs", "1"])
+    assert code == 3
+    assert "NaN" not in out
+    records = parse_lines(out)
+    assert [r["kind"] for r in records] == ["error"]
+    assert records[0]["error"] == "ParseError"
+    assert "is empty" in records[0]["message"]
+
+
+@pytest.mark.parametrize("case,split", [("no_graphs", "test"), ("empty_val", "val")])
+def test_eval_on_an_empty_split_exits_3(capsys, tmp_path, empty_data_dirs, config_path,
+                                        case, split):
+    with open(config_path) as fh:
+        ckpt = str(tmp_path / "model.nwtf")
+        save_checkpoint(Model(ModelConfig.from_json(fh.read())), ckpt)
+    code, out = run_cli(capsys, ["eval", "--data", empty_data_dirs[case], "--model", ckpt,
+                                 "--split", split])
+    assert code == 3
+    records = parse_lines(out)
+    assert [r["kind"] for r in records] == ["error"]
+    assert records[0]["error"] == "ParseError"

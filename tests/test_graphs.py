@@ -1,5 +1,7 @@
 """Graph container, text format, and synthetic-family tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,37 @@ def test_is_connected():
     assert not is_connected(build_graph(3, [(0, 1)]))
 
 
+def _weakly_connected_by_union_find(n, arcs):
+    parent = list(range(n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in arcs:
+        parent[root(u)] = root(v)
+    return len({root(v) for v in range(n)}) <= 1
+
+
+def test_is_connected_on_directed_graphs_matches_union_find():
+    one_way = build_graph(4, [(0, 1), (2, 1), (2, 3)], directed=True)
+    assert is_connected(one_way)
+    isolated = build_graph(4, [(0, 1), (1, 2), (2, 0)], directed=True)
+    assert not is_connected(isolated)
+    both_ways = build_graph(3, [(0, 1), (1, 0), (2, 1)], directed=True)
+    assert is_connected(both_ways)
+    assert not is_connected(build_graph(2, [], directed=True))
+    assert is_connected(build_graph(0, [], directed=True))
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        p = rng.random() * 0.4
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+        g = build_graph(n, arcs, directed=True)
+        assert is_connected(g) == _weakly_connected_by_union_find(n, arcs), arcs
+
+
 def test_disjoint_union_offsets_and_structure():
     g1 = complete_graph(3, with_features=True)
     g2 = path_graph(2, with_features=True)
@@ -199,6 +232,64 @@ def test_disjoint_union_offsets_and_structure():
     # Per-graph slot blocks stay contiguous (first graph's slots come first).
     assert (union.slot_src[: g1.n_slots] < 3).all()
     assert (union.slot_src[g1.n_slots:] >= 3).all()
+
+
+def _union_by_rebuild(graphs):
+    """The union as ``build_graph`` makes it from the offset edge list: each
+    member's arcs (one slot per undirected edge) shifted by its node offset."""
+    offsets = np.cumsum([0] + [g.n_nodes for g in graphs])
+    edges, feats = [], []
+    for g, off in zip(graphs, offsets):
+        keep = np.ones(g.n_slots, dtype=bool) if g.directed else g.slot_src < g.col_indices
+        edges.append(np.stack([g.slot_src[keep], g.col_indices[keep]], axis=1) + off)
+        feats.append(g.edge_features[keep])
+    return build_graph(int(offsets[-1]), np.concatenate(edges),
+                       node_features=np.concatenate([g.node_features for g in graphs]),
+                       edge_features=np.concatenate(feats), directed=graphs[0].directed)
+
+
+def _random_member(rng, directed, d, de):
+    """A graph on 0..6 nodes (so some are empty or edgeless) with random arcs
+    and features of widths ``d`` and ``de``."""
+    n = int(rng.integers(0, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    keep = rng.random(len(pairs)) < rng.random()
+    edges = [(v, u) if rng.random() < 0.5 and not directed else (u, v)
+             for (u, v), k in zip(pairs, keep) if k]
+    return build_graph(n, edges, node_features=rng.standard_normal((n, d)),
+                       edge_features=rng.standard_normal((len(edges), de)),
+                       directed=directed)
+
+
+_GRAPH_FIELDS = ("row_offsets", "col_indices", "slot_src", "node_features", "edge_features")
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("d,de", [(0, 0), (1, 2), (2, 1)])
+def test_disjoint_union_equals_the_rebuilt_union_byte_for_byte(directed, d, de):
+    rng = np.random.default_rng(17 + d + 3 * de + 9 * directed)
+    edgeless = build_graph(3, [], node_features=rng.standard_normal((3, d)),
+                           edge_features=np.zeros((0, de)), directed=directed)
+    empty = build_graph(0, [], node_features=np.zeros((0, d)),
+                        edge_features=np.zeros((0, de)), directed=directed)
+    member_sets = [[empty], [edgeless], [empty, edgeless, empty]]
+    member_sets += [[_random_member(rng, directed, d, de)
+                     for _ in range(int(rng.integers(1, 6)))] for _ in range(30)]
+    for members in member_sets:
+        before = [{f: getattr(g, f).copy() for f in _GRAPH_FIELDS} for g in members]
+        union, offsets = disjoint_union(members)
+        ref = _union_by_rebuild(members)
+        assert offsets.tolist() == np.cumsum([0] + [g.n_nodes for g in members]).tolist()
+        assert (union.n_nodes, union.directed) == (ref.n_nodes, ref.directed)
+        assert type(union.n_nodes) is int
+        for f in _GRAPH_FIELDS:
+            got, want = getattr(union, f), getattr(ref, f)
+            assert got.dtype == want.dtype and got.shape == want.shape, f
+            assert got.tobytes() == want.tobytes(), f
+            assert got.flags.c_contiguous
+            for g, saved in zip(members, before):
+                assert not np.shares_memory(got, getattr(g, f)), f
+                assert getattr(g, f).tobytes() == saved[f].tobytes(), f
 
 
 def test_disjoint_union_requires_matching_widths():
@@ -321,6 +412,41 @@ def test_random_regular_degree_and_connectivity():
         random_regular_graph(10, 3, seed=0)
     with pytest.raises(Unsupported):
         random_regular_graph(4, 4, seed=0)
+
+
+def _csr_sha256(g):
+    digest = hashlib.sha256()
+    for a in (g.row_offsets, g.col_indices, g.slot_src):
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("n,d,seed,sha", [
+    (3, 2, 0, "0b53ea366e6923238f375c8144f2d7b88fee424bfadb0d8680d72b424355f433"),
+    (7, 6, 0, "6aedc7ee0b572acb784a2a07f35ef4ba4a26cadd0d95e19e5a1258e62c3eb569"),
+    (8, 6, 1, "7bf5f9a2001a27c734a9e2e7420f5b5578e37bdfd450b837f9b6f6f35d63af53"),
+    (12, 8, 1, "eaf2e31a2efaf1979eadd60d2b64c829df835f75ebd4a2fe7621d4b40403f9a5"),
+    # Rounds with both kinds of duplicate: the repair order shows in the bytes.
+    (12, 8, 3, "5e24034e2425160629f7ad9d54fb5fa04a615015b5c63d7d652b3483eb0c995b"),
+    (12, 8, 6, "1948c44e5a4595aa98bf2315b0028c0b2ee686dcb5c523e1dff86b5068d75547"),
+    (20, 4, 3, "1c99e824d128b671b0cabbc4bcedb2b5a9d202805761c8144bea01627e3c3edc"),
+    (50, 6, 2, "883bc0a85f5e92401d8c92e986eb291effb9a6fdd1560e920a26b3d73829f0d6"),
+    (100, 8, 5, "13bd8f9e28df765c0f6eef391fa948edcdb0fe9b01e8ed5a7cc13f28a0d01a65"),
+    (1000, 4, 0, "8bba8d005838b8a79c02bca6ab02564f9901c68bc4bd619ae9b49a4e6c64033f"),
+    (100_000, 4, 0, "7226daa606cf60b0a1fdb313d393c571c956562c0c232d0d1497c709633d19c7"),
+    (100_000, 4, 7, "6635244212ed286f23344e48d98e8eaac671ddad622182ed0ba60921f12a7877"),
+])
+def test_random_regular_graph_csr_is_pinned(n, d, seed, sha):
+    """Pinned CSR bytes: the repair keeps its order and its ``rng`` draws."""
+    assert _csr_sha256(random_regular_graph(n, d, seed=seed)) == sha
+
+
+@pytest.mark.parametrize("n,d,seed", [(7, 6, 1), (8, 6, 0), (9, 8, 0), (11, 10, 0),
+                                      (5, 0, 0), (5, -2, 0)])
+def test_random_regular_graph_infeasible_inputs_raise_unsupported(n, d, seed):
+    """Failed repairs (the first four) and degrees that are not positive."""
+    with pytest.raises(Unsupported):
+        random_regular_graph(n, d, seed=seed)
 
 
 @st.composite

@@ -307,7 +307,9 @@ def build_graph(
         dst = np.concatenate([edge_arr[:, 1], edge_arr[:, 0]])
         feats = np.concatenate([edge_features, edge_features], axis=0)
 
-    order = np.lexsort((dst, src))
+    # The duplicate check above makes the (src, dst) keys unique, so any sort
+    # of them gives the lexicographic slot order.
+    order = np.argsort(src * n_nodes + dst)
     src, dst, feats = src[order], dst[order], feats[order]
     row_offsets = np.zeros(n_nodes + 1, dtype=np.int64)
     if src.shape[0]:

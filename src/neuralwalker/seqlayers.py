@@ -19,20 +19,22 @@ Kinds:
 ``bidirectional=True`` wraps a kind with independent forward/backward copies
 and averages the two directions.
 
-Both state-space kinds run one chain: :func:`_discretize` (the zero-order
-hold, ``exp(delta A)`` and ``phi(delta A)``) and :func:`_scan_readout` (the
-scan of ``B_bar x`` over time and the C.h readout). Each kind forms
-``delta phi B x`` at its cheapest shape. S4 discretizes once per call and
-builds ``B_bar = (delta phi) B`` as a (d, N) matrix. The selective kind
-discretizes per position inside the chain, forms ``delta x`` at (k, T, d) and
-needs two full-size multiplies for ``B_bar x``: the outer product with
-``B_t``, then ``phi``; it reads out its per-position ``C_t`` with one stacked
-matmul. In inference mode the (walks, T, d, N) chain runs in blocks of walks
-sized at about 1 MiB per array, so it works in cache. Input mask,
-projections, gate and output mask run on the whole batch, and so does the
-whole chain while a tape records. Every step of the chain acts on one walk,
-so each walk's output bits do not depend on the block boundaries or on the
-walk count.
+Both state-space kinds share :func:`_discretize` (the zero-order hold,
+``exp(delta A)`` and ``phi(delta A)``) and the one ``ad.associative_scan``.
+S4's ``A_bar``, ``B_bar`` and ``C`` are the same at every position, so S4 is a
+causal depthwise convolution with kernel ``K_t = sum_N C A_bar^t B_bar`` (the
+convolutional view of S4, Gu, Goel & Re, arXiv 2111.00396): it discretizes
+once per call, scans an impulse to get ``K`` and runs
+``ad.conv1d_depthwise`` on all walks at once, with no (walks, T, d, N) state.
+The selective kind discretizes per position, forms ``delta x`` at (k, T, d)
+and needs two full-size multiplies for ``B_bar x``: the outer product with
+``B_t``, then ``phi``; after the scan it reads out its per-position ``C_t``
+with one stacked matmul. In inference mode its (walks, T, d, N) chain runs in
+blocks of walks sized at about 1 MiB per array, so it works in cache. Input
+mask, projections, gate and output mask run on the whole batch, and so does
+the whole chain while a tape records. Every step of the chain acts on one
+walk, so each walk's output bits do not depend on the block boundaries or on
+the walk count.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ class AttentionLayer(_ParamHolder):
 # =============================================================================
 
 # A walk block holds about this many bytes per (k, T, d, N) float64 array, so
-# the state-space chain works in cache instead of on whole-batch temporaries.
+# the selective chain works in cache instead of on whole-batch temporaries.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -190,28 +192,14 @@ def _discretize(delta: Tensor, a: Tensor) -> tuple[Tensor, Tensor]:
     return ad.exp(z), ad.zoh_phi(z)
 
 
-def _scan_readout(a_bar: Tensor, b_x: Tensor, c: Tensor) -> Tensor:
-    """``sum_N C h`` of ``h_t = a_bar h_{t-1} + b_x_t`` on a (k, T, d, N)
-    block ``b_x``. ``a_bar`` is (d, N), the same at every position, or
-    (k, T, d, N). A per-channel ``c`` (d, N) is read out by a multiply and a
-    sum; a per-position ``c`` (k, T, N) by one stacked
-    ``(k, T, d, N) @ (k, T, N, 1)`` matmul. Returns (k, T, d)."""
-    k, T, d, n = b_x.shape
-    if a_bar.ndim == 2:
-        a_bar = ad.expand(ad.reshape(a_bar, (1, 1, d, n)), (k, T, d, n))
-    h = ad.reshape(ad.associative_scan(ad.reshape(a_bar, (k, T, d * n)),
-                                       ad.reshape(b_x, (k, T, d * n))), (k, T, d, n))
-    if c.ndim == 2:
-        return ad.reduce_sum(ad.mul(h, c), axis=-1)
-    return ad.reshape(ad.matmul(h, ad.reshape(c, (k, T, n, 1))), (k, T, d))
-
-
 class S4Layer(_ParamHolder):
     """Diagonal SSM: h_t = exp(delta*A) h_{t-1} + ZOH(delta, A, B) x_t, y = C h.
 
     ``A`` starts at -(1 + arange(N)) on every channel; ``delta`` is stored as
     its log, initialized log-uniformly in [1e-3, 1e-1]. ``A_bar`` and
-    ``B_bar`` are discretized once per call, outside the walk blocks.
+    ``B_bar`` are discretized once per call, and the layer runs as the causal
+    convolution ``y_t = sum_{s <= t} K_s x_{t-s}`` with
+    ``K_s = sum_N C A_bar^s B_bar``.
     """
 
     def __init__(self, dim: int, state: int, rng: np.random.Generator):
@@ -248,13 +236,16 @@ class S4Layer(_ParamHolder):
         delta_col = ad.expand(ad.reshape(delta, (d, 1)), (d, n))
         a_bar, phi = _discretize(delta_col, self.a)
         b_bar = ad.mul(ad.mul(delta_col, phi), self.b)     # (d, N)
-
-        def chain(xk: Tensor) -> Tensor:
-            k = xk.shape[0]
-            x_col = ad.expand(ad.reshape(xk, (k, T, d, 1)), (k, T, d, n))
-            return _scan_readout(a_bar, ad.mul(x_col, b_bar), self.c)
-
-        return ad.mask_rows(_walk_blocks(chain, (xm,), T * d * n), mask)
+        # The scan of an impulse B_bar at step T - 1 over 2T - 1 steps reads
+        # out [0 ... 0, K_0 ... K_{T-1}]; flipped, it is the centred kernel of
+        # y_t = sum_{s <= t} K_s x_{t-s}.
+        steps = 2 * T - 1
+        impulse = np.zeros((steps, d * n))
+        impulse[T - 1] = 1.0
+        h = ad.associative_scan(ad.expand(ad.reshape(a_bar, (1, d * n)), (steps, d * n)),
+                                ad.mul(Tensor(impulse), ad.reshape(b_bar, (d * n,))))
+        k = ad.reduce_sum(ad.mul(ad.reshape(h, (steps, d, n)), self.c), axis=-1)
+        return ad.mask_rows(ad.conv1d_depthwise(xm, ad.flip_axis(k, 0)), mask)
 
 
 class SelectiveLayer(_ParamHolder):
@@ -302,7 +293,11 @@ class SelectiveLayer(_ParamHolder):
             # delta x at (k, T, d), then its outer product with B_t, then phi.
             dx = ad.expand(ad.reshape(ad.mul(delta_k, xk), (k, T, d, 1)), shape)
             b_x = ad.mul(ad.mul(dx, ad.expand(ad.reshape(b_k, (k, T, 1, n)), shape)), phi)
-            return _scan_readout(a_bar, b_x, c_k)          # (k,T,d)
+            h = ad.associative_scan(ad.reshape(a_bar, (k, T, d * n)),
+                                    ad.reshape(b_x, (k, T, d * n)))
+            # The readout C_t . h_t as one stacked (k,T,d,N) @ (k,T,N,1) matmul.
+            return ad.reshape(ad.matmul(ad.reshape(h, shape), ad.reshape(c_k, (k, T, n, 1))),
+                              (k, T, d))
 
         y = _walk_blocks(chain, (xm, delta, b_t, c_t), T * d * n)
         return ad.mask_rows(ad.mul(y, gate), mask)

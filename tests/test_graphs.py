@@ -171,6 +171,31 @@ def test_build_rejects_duplicate_edges_either_orientation():
         build_graph(3, [(0, 1), (0, 1)], directed=True)
 
 
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("n,n_edges,seed", [(2, 1, 0), (5, 7, 1), (40, 300, 2), (1000, 4000, 3)])
+def test_build_slot_order_matches_a_lexsort_reference(directed, n, n_edges, seed):
+    rng = np.random.default_rng(seed)
+    pairs = rng.permutation(n * n)
+    pairs = pairs[pairs // n != pairs % n]
+    if not directed:  # one orientation per node pair, drawn at random
+        lo, hi = np.minimum(pairs // n, pairs % n), np.maximum(pairs // n, pairs % n)
+        _, first = np.unique(lo * n + hi, return_index=True)
+        pairs = pairs[np.sort(first)]
+    edges = np.stack([pairs // n, pairs % n], axis=1)[:n_edges]
+    feats = rng.standard_normal((len(edges), 2))
+    g = build_graph(n, edges, edge_features=feats, directed=directed)
+
+    src, dst, f = edges[:, 0], edges[:, 1], feats
+    if not directed:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        f = np.concatenate([f, f])
+    order = np.lexsort((dst, src))
+    assert np.array_equal(g.slot_src, src[order])
+    assert np.array_equal(g.col_indices, dst[order])
+    assert g.edge_features.tobytes() == f[order].tobytes()
+    assert np.array_equal(g.row_offsets, np.r_[0, np.cumsum(np.bincount(src, minlength=n))])
+
+
 def test_node_feature_row_count_checked():
     with pytest.raises(BadIndex):
         build_graph(3, [(0, 1)], node_features=np.zeros((2, 1)))

@@ -431,6 +431,9 @@ def test_blocked_forward_bits_equal_one_walk_calls(kind, bidirectional, monkeypa
         out = layer(Tensor(x.data[:m]), mask[:m]).data
         assert out.shape == (m, _BT, _BD)
         assert out.tobytes() == one_walk[:m].tobytes(), m
+        if kind == "s4":  # a convolution over all walks: no walk blocks
+            assert joined == []
+            continue
         n_blocks = -(-m // _BLOCK)
         want = [] if n_blocks == 1 else [[_BLOCK] * (n_blocks - 1) + [m - (n_blocks - 1) * _BLOCK]]
         assert joined == want * (2 if bidirectional else 1)
@@ -497,3 +500,42 @@ def test_state_space_forward_memory_peak(kind, limit_mib):
     finally:
         tracemalloc.stop()
     assert peak < limit_mib * 2**20, f"{kind} forward peaked at {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("taped", [False, True])
+def test_s4_builds_no_per_walk_state(taped, monkeypatch):
+    # S4 is a causal convolution: no op output has the (m, T, d, N) shape of a
+    # per-walk state chain, with or without a tape.
+    layer, x, mask = _block_case("s4", False)
+    ndims = []
+    emit = ad._emit
+
+    def spy(op, out_data, inputs, vjp):
+        ndims.append((op, out_data.ndim))
+        return emit(op, out_data, inputs, vjp)
+    monkeypatch.setattr(ad, "_emit", spy)
+    if taped:
+        with Tape() as tape:
+            loss = ad.reduce_sum(layer(x, mask))
+        backward(loss, tape)
+    else:
+        layer(Tensor(x.data), mask)
+    assert ("conv1d", 3) in ndims
+    assert [c for c in ndims if c[1] >= 4] == []
+
+
+def test_s4_taped_step_memory_peak():
+    # A taped forward + backward at the eval_ssm shape keeps the (2T - 1)-step
+    # kernel scan and the conv input on the tape, not (m, T, d, N) states.
+    layer = _layer("s4", dim=24, state=16, seed=35)
+    x = _input(512, 21, 24, seed=36)
+    mask = np.ones((512, 21), dtype=bool)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = ad.reduce_sum(layer(x, mask))
+        backward(loss, tape, leaves=layer.params.values())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"taped s4 step peaked at {peak / 2**20:.1f} MiB"

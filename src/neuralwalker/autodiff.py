@@ -564,13 +564,14 @@ def conv1d_depthwise(a, kernel) -> Tensor:
 
     ``a``: (..., T, D); ``kernel``: (k, D) with odd k. Output matches ``a``.
 
-    The value and ``dx`` are each one einsum over a sliding-window view of the
-    padded input (of the padded gradient for ``dx``, with the window axis
-    reversed), and ``dw[j]`` is one einsum per tap. For D >= 2 every output
-    entry adds its k products in tap order j = 0..k-1, starting from zero, so
-    the bits are those of a per-tap loop of full-size multiply-adds. At D = 1
-    einsum reduces the taps (and, for ``dw``, the rows) with its own unrolled
-    sum, which may differ from that loop in the last place.
+    The value, ``dx`` and ``dw`` are each one einsum over a sliding-window
+    view (of the padded input; of the padded gradient for ``dx``, with the
+    window axis reversed). For D >= 2 every entry of the value and ``dx``
+    adds its k products in tap order j = 0..k-1, starting from zero, and
+    ``dw[j]`` adds its products in row order, so the bits are those of a
+    per-tap loop of full-size multiply-adds. At D = 1 einsum reduces the taps
+    (and, for ``dw``, the rows) with its own unrolled sum, which may differ
+    from that loop in the last place.
     """
     a, kernel = as_tensor(a), as_tensor(kernel)
     x, w = a.data, kernel.data
@@ -592,7 +593,7 @@ def conv1d_depthwise(a, kernel) -> Tensor:
         dx = np.einsum("...tdj,jd->...td", _windows(np.pad(g, pad), k)[..., ::-1], w)
         m = math.prod(x.shape[:-2])
         g3, xp3 = g.reshape(m, t, d), xp.reshape(m, t + 2 * h, d)
-        dw = np.stack([np.einsum("mtd,mtd->d", g3, xp3[:, j:j + t]) for j in range(k)])
+        dw = np.einsum("mtd,mtdj->jd", g3, _windows(xp3, k))
         return dx, dw
     return _emit("conv1d", out, (a, kernel), vjp)
 

@@ -24,13 +24,13 @@ import numpy as np
 import scipy
 
 from .datasets import TASK_BUILDERS, load_dataset, make_dataset, save_dataset
-from .encoding import walk_feature_matrix
+from .encoding import encode_batch, walk_feature_matrix
 from .errors import GuardError, NeuralWalkerError, ParseError
 from .graphs import _read_text, load_graph, random_regular_graph
 from .model import Model, ModelConfig
 from .oracle import (enumerate_walks, exact_expectation, separation_witness,
                      triangle_count, wl_colors, wl_indistinguishable)
-from .sampling import (CoverageStats, SamplerConfig, sample_walks,
+from .sampling import (CoverageStats, SamplerConfig, WalkBatch, sample_walks,
                        walks_from_jsonl, walks_to_jsonl)
 from .tensorio import dumps_tensor, save_tensor
 from .training import evaluate, load_checkpoint, save_checkpoint, train_model
@@ -215,11 +215,11 @@ def _cmd_oracle(args) -> list[str]:
         graph = load_graph(args.graph)
         if args.length < 2:
             raise NeuralWalkerError("triangle flags need --length >= 2")
-        from .encoding import _id_adj
 
         def flag_count(nodes, edge_slots, mask):
             # offset-2 adjacency column: w_i adjacent to w_{i-2}
-            _, adjac = _id_adj(graph, nodes, mask, args.length + 1)
+            batch = WalkBatch(nodes, edge_slots, mask, nodes[:, 0], args.length)
+            _, adjac = encode_batch(graph, batch, args.length + 1)
             return adjac[:, :, 1].sum(axis=1)
 
         value = exact_expectation(graph, args.length, flag_count,

@@ -20,7 +20,9 @@ Transition kernel (shared by both modes): uniform over neighbors; with
 neighbor exists, and a degree-1 dead end falls back to backtracking for that
 step. On a directed graph "neighbor" means out-neighbor, and the previous node
 is excluded only when it is one. A walk starting on an isolated node stays
-there with positions 1..l pad-masked.
+there with positions 1..l pad-masked. The excluded arc is found without a
+search: each walk carries the slot it arrived by, and a reverse-slot table,
+built once per batch, names the arc back.
 """
 
 from __future__ import annotations
@@ -260,20 +262,15 @@ def _distinct_starts(graph: Graph, m: int, distribution: str, seed: int) -> np.n
 # Vectorized walk generation
 # =============================================================================
 
-def _advance(graph: Graph, cur: np.ndarray, prev: np.ndarray, u: np.ndarray,
-             non_backtracking: bool) -> tuple[np.ndarray, np.ndarray]:
+def _advance(graph: Graph, cur: np.ndarray, back: np.ndarray,
+             u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One transition for every walk; returns (next_nodes, slots) with slot -1
-    where the current node is isolated (walk stays put)."""
+    where the current node has out-degree 0 (the walk stays put). The slot
+    ``back`` (-1: none) is excluded wherever another out-arc remains."""
     off = graph.row_offsets[cur]
     deg = (graph.row_offsets[cur + 1] - off).astype(np.int64)
     alive = deg > 0
-    if non_backtracking:
-        # Exclude prev only where it is an out-neighbour of cur (on a directed
-        # graph it need not be); its position in the row is slot - off.
-        back = graph._find_slots(cur, prev)
-        excl = (back >= 0) & (deg >= 2)
-    else:
-        excl = np.zeros(cur.shape, dtype=bool)
+    excl = (back >= 0) & (deg >= 2)
     eff = np.maximum(deg - excl.astype(np.int64), 1)
     r = np.minimum((u * eff).astype(np.int64), eff - 1)
     if np.any(excl):
@@ -288,21 +285,22 @@ def _run_walks(graph: Graph, starts: np.ndarray, length: int, seeds: np.ndarray,
                non_backtracking: bool) -> WalkBatch:
     m = starts.shape[0]
     nodes = np.empty((m, length + 1), dtype=np.int64)
-    slots = np.full((m, length), -1, dtype=np.int64)
+    slots = np.empty((m, length), dtype=np.int64)
     nodes[:, 0] = starts
-    deg0 = graph.degrees()[starts]
-    alive = deg0 > 0
-    prev = np.full(m, -1, dtype=np.int64)
-    cur = starts.astype(np.int64).copy()
+    back = np.full(m, -1, dtype=np.int64)
+    if non_backtracking:
+        # reverse[s] is the slot of the arc back along slot s, or -1 where the
+        # graph has none; the appended -1 is the entry of slot -1 (no arc taken).
+        reverse = np.append(graph._find_slots(graph.col_indices, graph.slot_src), -1)
+    cur = starts.astype(np.int64)
     for t in range(length):
-        u = _uniform01(seeds, t)
-        nxt, slot = _advance(graph, cur, prev, u, non_backtracking)
-        nodes[:, t + 1] = nxt
+        cur, slot = _advance(graph, cur, back, _uniform01(seeds, t))
+        nodes[:, t + 1] = cur
         slots[:, t] = slot
-        prev, cur = cur, nxt
+        if non_backtracking:
+            back = reverse[slot]
     mask = np.ones((m, length + 1), dtype=bool)
-    mask[~alive, 1:] = False
-    slots[~alive, :] = -1
+    mask[graph.degrees()[starts] == 0, 1:] = False
     return WalkBatch(nodes=nodes, edge_slots=slots, mask=mask,
                      start_nodes=starts.astype(np.int64), length=length)
 

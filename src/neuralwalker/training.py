@@ -88,9 +88,9 @@ def _metric(task: str, preds: np.ndarray, targets: np.ndarray) -> tuple[str, flo
 
 
 def evaluate(model: Model, dataset: TaskDataset, split: str, seed: int,
-             repeat: int = 1, rate: float | None = None,
-             average_predictions: bool = False) -> dict:
-    """Metric on a split, over ``repeat`` independent walk resamplings.
+             repeat: int = 1, average_predictions: bool = False) -> dict:
+    """Metric on a split, over ``repeat`` independent walk resamplings at the
+    model config's ``eval_rate``.
 
     Returns ``{"metric", "mean", "std", "values"}``; ``std`` is the sample
     standard deviation across resamplings (0.0 for a single one). With
@@ -105,9 +105,8 @@ def evaluate(model: Model, dataset: TaskDataset, split: str, seed: int,
     if repeat < 1:
         raise BadSchedule(f"repeat must be at least 1, got {repeat}")
     graphs, targets = dataset.subset(split)
-    rate = model.config.eval_rate if rate is None else rate
     seeds = child_seeds(seed ^ _EVAL_SALT, repeat)
-    preds = [predict(model, graphs, int(s), rate=rate) for s in seeds]
+    preds = [predict(model, graphs, int(s), rate=model.config.eval_rate) for s in seeds]
     if average_predictions:
         name, value = _metric(dataset.task, np.mean(preds, axis=0), targets)
         values = [value]

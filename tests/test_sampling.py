@@ -193,6 +193,82 @@ def test_non_backtracking_on_directed_graph_excludes_only_out_neighbours():
     _assert_valid_batch(g, batch, non_backtracking=False)
 
 
+@st.composite
+def _small_graphs(draw, max_nodes):
+    """Random graphs of 1..max_nodes nodes, directed or not: directed ones
+    can have sinks, and either kind isolated nodes and degree-1 dead ends."""
+    n = draw(st.integers(1, max_nodes))
+    directed = draw(st.booleans())
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=12))
+    edges = {}
+    for u, v in arcs:
+        if u != v:
+            edges.setdefault((u, v) if directed else (min(u, v), max(u, v)), None)
+    return build_graph(n, list(edges), directed=directed)
+
+
+def _run_walks_by_search(graph, starts, length, seeds, non_backtracking):
+    """The reference for the sampler's reverse-slot table: a step loop in
+    which every non-backtracking step searches the current node's row for the
+    previous node with ``_find_slots`` and excludes that slot."""
+    m = starts.shape[0]
+    nodes = np.empty((m, length + 1), dtype=np.int64)
+    slots = np.full((m, length), -1, dtype=np.int64)
+    nodes[:, 0] = starts
+    prev, cur = np.full(m, -1, dtype=np.int64), starts.copy()
+    for t in range(length):
+        u = sampling._uniform01(seeds, t)
+        off = graph.row_offsets[cur]
+        deg = graph.row_offsets[cur + 1] - off
+        back = graph._find_slots(cur, prev) if non_backtracking else np.full(m, -1)
+        excl = (back >= 0) & (deg >= 2)
+        eff = np.maximum(deg - excl, 1)
+        r = np.minimum((u * eff).astype(np.int64), eff - 1)
+        r = np.where(excl & (r >= back - off), r + 1, r)
+        slot = np.where(deg > 0, off + r, -1)
+        nxt = np.where(deg > 0, graph.col_indices[np.maximum(slot, 0)] if graph.n_slots else cur,
+                       cur)
+        nodes[:, t + 1], slots[:, t] = nxt, slot
+        prev, cur = cur, nxt
+    mask = np.ones((m, length + 1), dtype=bool)
+    mask[graph.degrees()[starts] == 0, 1:] = False
+    return WalkBatch(nodes=nodes, edge_slots=slots, mask=mask, start_nodes=starts.copy(),
+                     length=length)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_graphs(9), st.integers(1, 8), st.booleans(), st.integers(0, 2**32))
+def test_reverse_slot_walks_equal_the_per_step_search(g, length, non_backtracking, seed):
+    starts = np.repeat(np.arange(g.n_nodes, dtype=np.int64), 3)   # every node, thrice
+    seeds = child_seeds(seed, starts.shape[0])
+    got = sampling._run_walks(g, starts, length, seeds, non_backtracking)
+    _assert_same_walks(got, _run_walks_by_search(g, starts, length, seeds, non_backtracking))
+
+
+def test_a_walk_batch_searches_the_csr_at_most_once(monkeypatch):
+    from neuralwalker.graphs import Graph
+    from neuralwalker.model import pack_graphs, sample_walks_packed
+
+    calls = []
+    find_slots = Graph._find_slots
+
+    def spy(self, u, v):
+        calls.append(u)
+        return find_slots(self, u, v)
+
+    g = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3)], directed=True)
+    pack = pack_graphs([cycle_graph(3), star_graph(4)])
+    monkeypatch.setattr(Graph, "_find_slots", spy)
+    for nb in (False, True):
+        for run in (lambda: sample_walks(g, SamplerConfig(length=6, non_backtracking=nb)),
+                    lambda: sample_walks_iid(g, 20, 6, seed=1, non_backtracking=nb),
+                    lambda: sample_walks_packed(pack, 6, 1.0, nb, "uniform", seed=2)):
+            calls.clear()
+            run()
+            assert len(calls) <= int(nb)
+
+
 # -----------------------------------------------------------------------------
 # Kernel law checks (Monte Carlo)
 # -----------------------------------------------------------------------------
@@ -407,15 +483,8 @@ def _reference_jsonl(batch):
 def _walk_batches(draw):
     """Sampled batches on small random graphs, directed ones with sinks and
     any with isolated nodes; node ids are then shifted to up to 19 digits."""
-    n = draw(st.integers(1, 7))
-    directed = draw(st.booleans())
-    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                         max_size=12))
-    edges = {}
-    for u, v in arcs:
-        if u != v:
-            edges.setdefault((u, v) if directed else (min(u, v), max(u, v)), None)
-    g = build_graph(n, list(edges), directed=directed)
+    g = draw(_small_graphs(7))
+    n = g.n_nodes
     config = SamplerConfig(length=draw(st.integers(1, 8)), n_walks=draw(st.integers(1, n)),
                            non_backtracking=draw(st.booleans()))
     batch = sample_walks(g, config, seed=draw(st.integers(0, 2**32)))

@@ -31,6 +31,12 @@ index array, range-checked once, with its counts and incidence built on first
 use. The three ops take a plan wherever they take ids and wrap a raw array in a
 one-use plan, so a caller that segments by the same array again and again
 (every block of a forward, and the VJPs) builds it once and passes it on.
+
+:func:`selective_scan` is the one fused op: the whole selective state-space
+recurrence, whose VJP keeps only its inputs and recomputes its states. It
+takes phi from :func:`zoh_phi` and the states from :func:`associative_scan`,
+and its VJP shares their private adjoints, so the recurrence and phi each have
+one implementation.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ __all__ = [
     "relu", "gelu", "sigmoid", "tanh", "exp", "log", "softplus", "silu",
     "softmax", "log_softmax", "reduce_sum", "reduce_mean",
     "layernorm", "conv1d_depthwise", "Segments", "segment_mean", "scatter_add",
-    "gather_rows", "associative_scan", "zoh_phi",
+    "gather_rows", "associative_scan", "zoh_phi", "selective_scan",
 ]
 
 
@@ -710,40 +716,69 @@ def gather_rows(a, index) -> Tensor:
 
 
 # =============================================================================
-# Linear recurrence scan
+# Linear recurrence scan and the selective scan
 # =============================================================================
+
+def _scan_into(a: np.ndarray, b: np.ndarray, h: np.ndarray) -> None:
+    """Write h_t = a_t * h_{t-1} + b_t over axis -2 into ``h``, h_{-1} = 0.
+
+    Each step is one multiply into the row of ``h`` and one in-place add, so
+    t = 0 computes ``a_0 * 0 + b_0`` (signed zeros included) and every row
+    has the bits of ``a_t * h_{t-1} + b_t``.
+    """
+    if not h.size:
+        return
+    np.multiply(a[..., 0, :], 0.0, out=h[..., 0, :])
+    h[..., 0, :] += b[..., 0, :]
+    for t in range(1, a.shape[-2]):
+        np.multiply(a[..., t, :], h[..., t - 1, :], out=h[..., t, :])
+        h[..., t, :] += b[..., t, :]
+
+
+def _scan_adjoint(a: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """VJP of :func:`_scan_into` at states ``h``: ``(da, db)`` for the output
+    gradient ``g``. ``db`` is the reverse scan s_t = a_{t+1} s_{t+1} + g_t,
+    and ``da_t = s_t h_{t-1}``."""
+    db = np.empty(g.shape)
+    if not g.size:
+        return np.empty(g.shape), db
+    db[..., -1, :] = g[..., -1, :] + 0.0          # s_T = 0, so -0.0 gives +0.0
+    for t in range(a.shape[-2] - 2, -1, -1):
+        np.multiply(a[..., t + 1, :], db[..., t + 1, :], out=db[..., t, :])
+        db[..., t, :] += g[..., t, :]
+    da = np.empty(g.shape)
+    np.multiply(db[..., 0, :], 0.0, out=da[..., 0, :])
+    np.multiply(db[..., 1:, :], h[..., :-1, :], out=da[..., 1:, :])
+    return da, db
+
 
 def associative_scan(a, b) -> Tensor:
     """First-order linear recurrence h_t = a_t * h_{t-1} + b_t over axis -2.
 
     ``a`` and ``b`` share shape (..., T, C); h_{-1} = 0. Runs sequentially in
-    time, so results are deterministic.
+    time, each step in place in its row of the output, so results are
+    deterministic.
     """
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
     if ad.shape != bd.shape or ad.ndim < 2:
         raise ShapeError(f"scan needs equal (..., T, C) shapes, got {ad.shape}, {bd.shape}")
-    t_len = ad.shape[-2]
     # Buffers are C-ordered by shape: an input may be an expand view, and
     # ``empty_like`` would copy its stride order into the gradient layout.
     h = np.empty(bd.shape)
-    state = np.zeros(bd.shape[:-2] + bd.shape[-1:])
-    for t in range(t_len):
-        state = ad[..., t, :] * state + bd[..., t, :]
-        h[..., t, :] = state
+    _scan_into(ad, bd, h)
+    return _emit("scan", h, (a, b), lambda g: _scan_adjoint(ad, h, g))
 
-    def vjp(g):
-        da = np.empty(ad.shape)
-        db = np.empty(bd.shape)
-        s = np.zeros_like(state)
-        for t in range(t_len - 1, -1, -1):
-            s = s + g[..., t, :]
-            prev = h[..., t - 1, :] if t > 0 else np.zeros_like(state)
-            da[..., t, :] = s * prev
-            db[..., t, :] = s
-            s = s * ad[..., t, :]
-        return da, db
-    return _emit("scan", h, (a, b), vjp)
+
+def _zoh_phi_prime(x: np.ndarray) -> np.ndarray:
+    """phi'(z) = (exp(z)(z - 1) + 1) / z^2, series 1/2 + z/3 + z^2/8 + z^3/30
+    where |z| < 1e-4."""
+    small = np.abs(x) < 1e-4
+    safe = np.where(small, 1.0, x)
+    xs = x[small]
+    der = (np.exp(safe) * (safe - 1.0) + 1.0) / (safe * safe)
+    der[small] = 0.5 + xs / 3.0 + xs * xs / 8.0 + xs * xs * xs / 30.0
+    return der
 
 
 def zoh_phi(z) -> Tensor:
@@ -764,13 +799,114 @@ def zoh_phi(z) -> Tensor:
         small = np.abs(x) < 1e-4
         xs = x[small]
         val[small] = 1.0 + xs / 2.0 + xs * xs / 6.0 + xs * xs * xs / 24.0
+    return _emit("zoh_phi", val, (a,), lambda g: (g * _zoh_phi_prime(x),))
+
+
+# The selective scan works on blocks of walks holding about this many bytes per
+# (T, k, d, N) float64 array, forward and VJP, so its temporaries stay in cache.
+_SCAN_BLOCK_BYTES = 1 << 20
+
+
+def _swap01(v: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of ``v`` with its first two axes swapped: walk-major
+    (k, T, ...) to time-major (T, k, ...) and back."""
+    return np.ascontiguousarray(np.swapaxes(v, 0, 1))
+
+
+def _selective_states(xt, dt, bt, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(A_bar, phi, h)``, the time-major (T, k, d, N) arrays of the selective
+    recurrence: ``z = delta A``, ``A_bar = exp(z)``, ``phi(z)``, and the states
+    ``h`` of the scan with inputs ``A_bar`` and ``B_bar x = ((delta x) B) phi``.
+
+    φ comes from :func:`zoh_phi` and the states from :func:`associative_scan`,
+    both on untaped tensors of the (T, k d N) view, so that each scan step is
+    one contiguous row. ``order="C"`` keeps the einsum outputs
+    time-major (the default follows the operands' strides). ``A_bar``
+    overwrites ``z`` and ``B_bar x`` its outer product: a fresh buffer costs
+    more than the arithmetic on it.
+    """
+    z = np.einsum("tkd,dn->tkdn", dt, a, order="C")
+    rows = (z.shape[0], math.prod(z.shape[1:]))
+    phi = zoh_phi(Tensor(z.reshape(rows))).data.reshape(z.shape)
+    a_bar = np.exp(z, out=z)
+    b_x = np.einsum("tkd,tkn->tkdn", dt * xt, bt, order="C")
+    b_x *= phi
+    h = associative_scan(Tensor(a_bar.reshape(rows)), Tensor(b_x.reshape(rows))).data
+    return a_bar, phi, h.reshape(z.shape)
+
+
+def _selective_block(x, delta, b, c, a) -> np.ndarray:
+    """y of one walk block, (k, T, d): the states read out by one stacked
+    (d, N) @ (N, 1) matmul per position."""
+    xt, dt, bt, ct = (_swap01(v) for v in (x, delta, b, c))
+    h = _selective_states(xt, dt, bt, a)[-1]
+    return _swap01((h @ ct[..., None])[..., 0])
+
+
+def _selective_block_vjp(x, delta, b, c, a, g) -> tuple[np.ndarray, ...]:
+    """VJP of :func:`_selective_block` for the output gradient ``g``:
+    ``(dx, ddelta, db, dc)`` and the product ``dz * delta`` as (k T, d, N)
+    rows in walk-major order, whose sum is ``da``.
+
+    Each product and sum is the one that the recurrence written as a chain
+    of tape ops (exp, zoh_phi, broadcast mul, expand, scan, matmul readout)
+    takes in backward, on the same axes, so the gradients have its bits.
+    """
+    xt, dt, bt, ct, gt = (_swap01(v) for v in (x, delta, b, c, g))
+    a_bar, phi, h = _selective_states(xt, dt, bt, a)
+    shape = a_bar.shape
+    dc = (np.swapaxes(h, -1, -2) @ gt[..., None])[..., 0]
+    dh = gt[..., None] @ ct[..., None, :]
+    rows = (shape[0], math.prod(shape[1:]))
+    dz, db_x = (v.reshape(shape) for v in _scan_adjoint(
+        a_bar.reshape(rows), h.reshape(rows), dh.reshape(rows)))
+    dz *= a_bar                                      # through A_bar = exp(z)
+    dw = db_x * phi                                  # w = (delta x) B
+    u = dt * xt
+    db_x *= u[..., None] * bt[..., None, :]
+    db_x *= _zoh_phi_prime(np.einsum("tkd,dn->tkdn", dt, a, order="C"))
+    dz += db_x                                       # through phi(z)
+    du = (dw * bt[..., None, :]).sum(axis=-1)
+    ddelta = du * xt
+    ddelta += (dz * a).sum(axis=-1)
+    dz_delta = np.empty((shape[1] * shape[0],) + shape[2:])
+    np.multiply(np.swapaxes(dz, 0, 1), delta[..., None],
+                out=dz_delta.reshape((shape[1], shape[0]) + shape[2:]))
+    return (_swap01(du * dt), _swap01(ddelta), _swap01((dw * u[..., None]).sum(axis=-2)),
+            _swap01(dc), dz_delta)
+
+
+def selective_scan(x, delta, b, c, a) -> Tensor:
+    """Selective state-space scan (the Mamba recurrence, Gu & Dao, arXiv
+    2312.00752) with zero-order-hold discretization.
+
+    ``x`` and ``delta`` are (m, T, d), ``b`` and ``c`` (m, T, N), ``a`` (d, N).
+    Returns y (m, T, d) with ``y_t = C_t . h_t`` and
+    ``h_t = exp(delta_t A) h_{t-1} + delta_t phi(delta_t A) B_t x_t``, h_{-1} = 0.
+
+    The op runs on blocks of walks (``_SCAN_BLOCK_BYTES``), each copied once to
+    time-major order. ``B_bar x`` is ``((delta x) B) phi`` and the readout one
+    stacked matmul, so each walk's bits do not depend on the walk count or the
+    blocks. Only the five inputs are kept for the backward pass: the VJP
+    recomputes each block's (T, k, d, N) arrays instead of holding them on the
+    tape, and adds ``da`` over walks, then steps, as one running sum.
+    """
+    x, delta, b, c, a = (as_tensor(t) for t in (x, delta, b, c, a))
+    xd, dd, bd, cd, ad = x.data, delta.data, b.data, c.data, a.data
+    if (xd.ndim != 3 or dd.shape != xd.shape or ad.ndim != 2 or ad.shape[0] != xd.shape[2]
+            or bd.shape != xd.shape[:2] + ad.shape[1:] or cd.shape != bd.shape):
+        raise ShapeError(f"selective scan needs (m, T, d) x and delta, (m, T, N) b and c "
+                         f"and (d, N) a, got {xd.shape}, {dd.shape}, {bd.shape}, "
+                         f"{cd.shape}, {ad.shape}")
+    k = max(1, _SCAN_BLOCK_BYTES // (8 * max(xd.shape[1] * ad.size, 1)))
+    blocks = [slice(lo, lo + k) for lo in range(0, max(xd.shape[0], 1), k)]
+    y = np.concatenate([_selective_block(xd[s], dd[s], bd[s], cd[s], ad) for s in blocks])
 
     def vjp(g):
-        # phi'(z) = (exp(z)(z - 1) + 1) / z^2, series 1/2 + z/3 + z^2/8 + z^3/30.
-        small = np.abs(x) < 1e-4
-        safe = np.where(small, 1.0, x)
-        xs = x[small]
-        der = (np.exp(safe) * (safe - 1.0) + 1.0) / (safe * safe)
-        der[small] = 0.5 + xs / 3.0 + xs * xs / 8.0 + xs * xs * xs / 30.0
-        return (g * der,)
-    return _emit("zoh_phi", val, (a,), vjp)
+        grads, da = [], None
+        for s in blocks:
+            *block_grads, rows = _selective_block_vjp(xd[s], dd[s], bd[s], cd[s], ad, g[s])
+            grads.append(block_grads)
+            da = rows.sum(axis=0) if da is None else np.concatenate((da[None], rows)).sum(axis=0)
+        return (*(np.concatenate(p) for p in zip(*grads)), da)
+    return _emit("selective_scan", y, (x, delta, b, c, a), vjp)

@@ -9,6 +9,7 @@ message passing can treat every graph as a set of directed arcs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -210,6 +211,14 @@ class Graph:
         found = pos < end
         found &= col.take(pos, mode="clip") == v
         return np.where(found, pos, -1)
+
+    @cached_property
+    def _reverse_slots(self) -> np.ndarray:
+        """(n_slots + 1,) int64: entry ``s`` is the slot of the arc back along
+        slot ``s``, or -1 where the graph has none; the last entry, -1, is the
+        entry of slot -1 (no arc taken). Built by one ``_find_slots`` call on
+        first use and kept, as the graph never changes."""
+        return np.append(self._find_slots(self.col_indices, self.slot_src), -1)
 
     def _check_sources(self, u: np.ndarray) -> None:
         if u.size and (u.min() < 0 or u.max() >= self.n_nodes):

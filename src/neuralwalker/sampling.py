@@ -21,8 +21,8 @@ neighbor exists, and a degree-1 dead end falls back to backtracking for that
 step. On a directed graph "neighbor" means out-neighbor, and the previous node
 is excluded only when it is one. A walk starting on an isolated node stays
 there with positions 1..l pad-masked. The excluded arc is found without a
-search: each walk carries the slot it arrived by, and a reverse-slot table,
-built once per batch, names the arc back.
+search: each walk carries the slot it arrived by, and the graph's reverse-slot
+table, built on first use and kept on the graph, names the arc back.
 """
 
 from __future__ import annotations
@@ -289,9 +289,7 @@ def _run_walks(graph: Graph, starts: np.ndarray, length: int, seeds: np.ndarray,
     nodes[:, 0] = starts
     back = np.full(m, -1, dtype=np.int64)
     if non_backtracking:
-        # reverse[s] is the slot of the arc back along slot s, or -1 where the
-        # graph has none; the appended -1 is the entry of slot -1 (no arc taken).
-        reverse = np.append(graph._find_slots(graph.col_indices, graph.slot_src), -1)
+        reverse = graph._reverse_slots
     cur = starts.astype(np.int64)
     for t in range(length):
         cur, slot = _advance(graph, cur, back, _uniform01(seeds, t))

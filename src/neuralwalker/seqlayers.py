@@ -19,22 +19,23 @@ Kinds:
 ``bidirectional=True`` wraps a kind with independent forward/backward copies
 and averages the two directions.
 
-Both state-space kinds share :func:`_discretize` (the zero-order hold,
-``exp(delta A)`` and ``phi(delta A)``) and the one ``ad.associative_scan``.
+Both state-space kinds discretize by zero-order hold, ``exp(delta A)`` and
+``phi(delta A)`` from ``ad.zoh_phi``, and run the one ``ad.associative_scan``.
 S4's ``A_bar``, ``B_bar`` and ``C`` are the same at every position, so S4 is a
 causal depthwise convolution with kernel ``K_t = sum_N C A_bar^t B_bar`` (the
 convolutional view of S4, Gu, Goel & Re, arXiv 2111.00396): it discretizes
 once per call, scans an impulse to get ``K`` and runs
 ``ad.conv1d_depthwise`` on all walks at once, with no (walks, T, d, N) state.
-The selective kind discretizes per position, forms ``delta x`` at (k, T, d)
-and needs two full-size multiplies for ``B_bar x``: the outer product with
-``B_t``, then ``phi``; after the scan it reads out its per-position ``C_t``
-with one stacked matmul. In inference mode its (walks, T, d, N) chain runs in
-blocks of walks sized at about 1 MiB per array, so it works in cache. Input
-mask, projections, gate and output mask run on the whole batch, and so does
-the whole chain while a tape records. Every step of the chain acts on one
-walk, so each walk's output bits do not depend on the block boundaries or on
-the walk count.
+The selective kind discretizes per position inside one op,
+``ad.selective_scan``, after Mamba's selective scan (Gu & Dao, arXiv
+2312.00752): it forms ``((delta x) B_t) phi``, scans, and reads out ``C_t . h_t``
+with a stacked matmul, time-major on cache-sized blocks of walks, and its VJP
+recomputes the states from the op's five inputs, so no (walks, T, d, N) array
+lives on the tape. In inference mode the layer also calls the op on blocks of
+walks (:func:`_walk_blocks`). Input mask, projections, gate and output mask run
+on the whole batch, and so does the op while a tape records. Every step of the
+op acts on one walk, so each walk's output bits do not depend on the block
+boundaries or on the walk count.
 """
 
 from __future__ import annotations
@@ -160,9 +161,9 @@ class AttentionLayer(_ParamHolder):
 # State-space layers
 # =============================================================================
 
-# A walk block holds about this many bytes per (k, T, d, N) float64 array, so
-# the selective chain works in cache instead of on whole-batch temporaries.
-_BLOCK_BYTES = 1 << 20
+# A walk block holds about this many bytes per (k, T, d, N) float64 array of
+# the selective scan, the block size the op itself works in.
+_BLOCK_BYTES = ad._SCAN_BLOCK_BYTES
 
 
 def _walk_blocks(chain, tensors, per_walk: int) -> Tensor:
@@ -171,9 +172,8 @@ def _walk_blocks(chain, tensors, per_walk: int) -> Tensor:
     ``per_walk`` is the element count of one walk's slice of the chain's
     largest array. Every step of ``chain`` must act on each walk alone, so the
     output bits do not depend on where the blocks are cut. While a tape
-    records, the chain runs on the whole batch: the tape keeps every block's
-    temporaries for the backward pass anyway, and each slice's VJP would
-    return a whole-batch buffer, a cost that grows with blocks x walks.
+    records, the chain runs on the whole batch: each slice's VJP would return
+    a whole-batch buffer, a cost that grows with blocks x walks.
     """
     m = tensors[0].shape[0]
     k = max(1, _BLOCK_BYTES // (8 * per_walk))
@@ -181,15 +181,6 @@ def _walk_blocks(chain, tensors, per_walk: int) -> Tensor:
         return chain(*tensors)
     return ad.concat([chain(*(ad.slice_axis(t, 0, lo, min(lo + k, m)) for t in tensors))
                       for lo in range(0, m, k)], axis=0)
-
-
-def _discretize(delta: Tensor, a: Tensor) -> tuple[Tensor, Tensor]:
-    """Zero-order hold: ``(exp(delta A), phi(delta A))``, so that
-    ``B_bar = delta phi(delta A) B``. ``delta`` has the output's shape; ``a``
-    is (d, N), broadcast as a suffix. Each kind multiplies in ``delta``, ``B``
-    and ``x`` at its cheapest shape."""
-    z = ad.mul(delta, a)
-    return ad.exp(z), ad.zoh_phi(z)
 
 
 class S4Layer(_ParamHolder):
@@ -234,7 +225,9 @@ class S4Layer(_ParamHolder):
         delta = ad.exp(self.log_delta)                     # (d,)
         n = self.state
         delta_col = ad.expand(ad.reshape(delta, (d, 1)), (d, n))
-        a_bar, phi = _discretize(delta_col, self.a)
+        # Zero-order hold: A_bar = exp(delta A), B_bar = delta phi(delta A) B.
+        z = ad.mul(delta_col, self.a)
+        a_bar, phi = ad.exp(z), ad.zoh_phi(z)
         b_bar = ad.mul(ad.mul(delta_col, phi), self.b)     # (d, N)
         # The scan of an impulse B_bar at step T - 1 over 2T - 1 steps reads
         # out [0 ... 0, K_0 ... K_{T-1}]; flipped, it is the centred kernel of
@@ -256,7 +249,7 @@ class SelectiveLayer(_ParamHolder):
     y_t = (C_t . h_t) * z_t. Freezing the projection weights to zero (biases
     carrying the constants) makes the recurrence identical to
     :class:`S4Layer` with broadcast B/C. The projections and the gate run on
-    the whole batch; the chain discretizes per position.
+    the whole batch; ``ad.selective_scan`` discretizes per position.
     """
 
     def __init__(self, dim: int, state: int, rng: np.random.Generator):
@@ -278,28 +271,14 @@ class SelectiveLayer(_ParamHolder):
     def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
         xm = ad.mask_rows(x, mask)
         _, T, d = xm.shape
-        n = self.state
         p = self.params
         delta = ad.softplus(ad.add(ad.matmul(xm, p["w_delta"]), p["b_delta"]))  # (m,T,d)
         b_t = ad.add(ad.matmul(xm, p["w_b"]), p["b_b"])                         # (m,T,N)
         c_t = ad.add(ad.matmul(xm, p["w_c"]), p["b_c"])                         # (m,T,N)
         gate = ad.silu(ad.add(ad.matmul(xm, p["w_gate"]), p["b_gate"]))         # (m,T,d)
 
-        def chain(xk: Tensor, delta_k: Tensor, b_k: Tensor, c_k: Tensor) -> Tensor:
-            k = xk.shape[0]
-            shape = (k, T, d, n)
-            a_bar, phi = _discretize(ad.expand(ad.reshape(delta_k, (k, T, d, 1)), shape),
-                                     self.a)
-            # delta x at (k, T, d), then its outer product with B_t, then phi.
-            dx = ad.expand(ad.reshape(ad.mul(delta_k, xk), (k, T, d, 1)), shape)
-            b_x = ad.mul(ad.mul(dx, ad.expand(ad.reshape(b_k, (k, T, 1, n)), shape)), phi)
-            h = ad.associative_scan(ad.reshape(a_bar, (k, T, d * n)),
-                                    ad.reshape(b_x, (k, T, d * n)))
-            # The readout C_t . h_t as one stacked (k,T,d,N) @ (k,T,N,1) matmul.
-            return ad.reshape(ad.matmul(ad.reshape(h, shape), ad.reshape(c_k, (k, T, n, 1))),
-                              (k, T, d))
-
-        y = _walk_blocks(chain, (xm, delta, b_t, c_t), T * d * n)
+        y = _walk_blocks(lambda *block: ad.selective_scan(*block, self.a),
+                         (xm, delta, b_t, c_t), T * d * self.state)
         return ad.mask_rows(ad.mul(y, gate), mask)
 
 

@@ -200,6 +200,26 @@ def test_associative_scan_gradients(rng):
                  {"a": a, "b": b}, n_probes=30)
 
 
+def _selective_inputs(rng, m, T, d, n, requires_grad=False):
+    """x, delta, B, C and A for ``selective_scan``. x is zero, as the layer's
+    mask leaves it (with -0.0 where it was negative), after a random end of
+    each walk; A holds entries of 0, 1e-7 and -2e-5 next to its init."""
+    keep = np.arange(T)[None, :] < rng.integers(1, T + 1, size=m)[:, None]
+    x = rng.standard_normal((m, T, d)) * keep[..., None]
+    delta = np.log1p(np.exp(rng.normal(-2.0, 1.5, (m, T, d))))
+    a = -np.tile(1.0 + np.arange(n, dtype=np.float64), (d, 1))
+    a.flat[[0, n + 1, 2 * n + 2]] = (0.0, 1e-7, -2e-5)
+    arrays = (x, delta, rng.standard_normal((m, T, n)), rng.standard_normal((m, T, n)), a)
+    return [Tensor(v, requires_grad=requires_grad) for v in arrays]
+
+
+def test_selective_scan_gradients(rng):
+    inputs = _selective_inputs(rng, 2, 5, 3, 4, requires_grad=True)
+    w = rng.standard_normal((2, 5, 3))
+    fd_gradcheck(lambda: _weighted_sum(ad.selective_scan(*inputs), w),
+                 dict(zip(("x", "delta", "b", "c", "a"), inputs)), n_probes=40)
+
+
 # -----------------------------------------------------------------------------
 # Op semantics
 # -----------------------------------------------------------------------------
@@ -396,6 +416,37 @@ def test_scan_matches_sequential_reference(rng):
         h = a[:, t] * h + b[:, t]
         ref[:, t] = h
     assert np.allclose(out, ref, atol=1e-12)
+
+
+def test_scan_bits_equal_the_step_loop_with_signed_zeros():
+    # The in-place scan and its adjoint against the loops they replaced:
+    # state = a_t * state + b_t from a zero state, and the reverse sweep.
+    rng = np.random.default_rng(12)
+    a = rng.uniform(-1.0, 1.0, (3, 6, 5))
+    b = rng.standard_normal((3, 6, 5))
+    g = rng.standard_normal((3, 6, 5))
+    a[:, 0, :2] = -0.5                    # a_0 * 0 is -0.0 ...
+    b[:, :, :3] = -0.0                    # ... and -0.0 + -0.0 stays -0.0
+    a[1, :, 3] = -0.0
+    g[:, -2:, 1:4] = -0.0
+    h, state = np.empty_like(b), np.zeros((3, 5))
+    for t in range(6):
+        state = a[:, t] * state + b[:, t]
+        h[:, t] = state
+    da, db, s = np.empty_like(a), np.empty_like(b), np.zeros((3, 5))
+    for t in range(5, -1, -1):
+        s = s + g[:, t]
+        da[:, t] = s * (h[:, t - 1] if t > 0 else np.zeros((3, 5)))
+        db[:, t] = s
+        s = s * a[:, t]
+    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    with Tape() as tape:
+        out = ad.associative_scan(ta, tb)
+        loss = _weighted_sum(out, g)
+    backward(loss, tape)
+    assert np.signbit(h[h == 0]).any() and np.signbit(da[da == 0]).any()
+    assert out.data.tobytes() == h.tobytes()
+    assert ta.grad.tobytes() == da.tobytes() and tb.grad.tobytes() == db.tobytes()
 
 
 def test_scan_prefix_sum_special_case():
@@ -635,3 +686,55 @@ def test_scan_gradient_bits_do_not_depend_on_an_expand_view_input():
         return a.grad.tobytes(), b.grad.tobytes()
 
     assert grads(copy_first=False) == grads(copy_first=True)
+
+
+# -----------------------------------------------------------------------------
+# The selective scan against the chain of tape ops it replaces
+# -----------------------------------------------------------------------------
+
+def _selective_chain(x, delta, b, c, a):
+    """The selective recurrence as elementwise tape ops: z = delta A, exp(z)
+    and phi(z), ((delta x) B) phi, the scan over (k, T, d N), and the readout
+    as a stacked (d, N) @ (N, 1) matmul."""
+    k, T, d = x.shape
+    n = a.shape[1]
+    shape = (k, T, d, n)
+    z = ad.mul(ad.expand(ad.reshape(delta, (k, T, d, 1)), shape), a)
+    a_bar, phi = ad.exp(z), ad.zoh_phi(z)
+    dx = ad.expand(ad.reshape(ad.mul(delta, x), (k, T, d, 1)), shape)
+    b_x = ad.mul(ad.mul(dx, ad.expand(ad.reshape(b, (k, T, 1, n)), shape)), phi)
+    h = ad.associative_scan(ad.reshape(a_bar, (k, T, d * n)), ad.reshape(b_x, (k, T, d * n)))
+    return ad.reshape(ad.matmul(ad.reshape(h, shape), ad.reshape(c, (k, T, n, 1))), (k, T, d))
+
+
+@pytest.mark.parametrize("m,T,d,n", [(3, 7, 5, 4), (600, 8, 8, 8)])
+def test_selective_scan_bits_equal_the_tape_chain(m, T, d, n):
+    # 600 walks of 8 x 8 x 8 are three blocks of the op, so the VJP's da adds
+    # across blocks; it must still give the whole-batch sum's bits.
+    rng = np.random.default_rng(m)
+    inputs = _selective_inputs(rng, m, T, d, n, requires_grad=True)
+    g = rng.standard_normal((m, T, d))
+    assert ad.selective_scan(*(Tensor(t.data) for t in inputs)).data.tobytes() == \
+        _selective_chain(*(Tensor(t.data) for t in inputs)).data.tobytes()
+    got = []
+    for op in (ad.selective_scan, _selective_chain):
+        for t in inputs:
+            t.grad = None
+        with Tape() as tape:
+            y = op(*inputs)
+            loss = _weighted_sum(y, g)
+        backward(loss, tape)
+        got.append([y.data] + [t.grad for t in inputs])
+    for fused, chain in zip(*got):
+        np.testing.assert_allclose(fused, chain, rtol=1e-12, atol=0)
+        assert fused.tobytes() == chain.tobytes()
+
+
+def test_selective_scan_tapes_only_its_inputs():
+    inputs = _selective_inputs(np.random.default_rng(3), 4, 6, 3, 3, requires_grad=True)
+    with Tape() as tape:
+        y = ad.selective_scan(*inputs)
+    assert [r.op for r in tape.records] == ["selective_scan"]
+    assert tape.records[0].inputs == tuple(inputs) and y.shape == (4, 6, 3)
+    with pytest.raises(ShapeError):
+        ad.selective_scan(*inputs[:4], Tensor(np.zeros((3, 2))))

@@ -269,6 +269,27 @@ def test_a_walk_batch_searches_the_csr_at_most_once(monkeypatch):
             assert len(calls) <= int(nb)
 
 
+def test_the_reverse_slot_table_is_built_once_per_graph(monkeypatch):
+    from neuralwalker.graphs import Graph
+
+    calls = []
+    find_slots = Graph._find_slots
+
+    def spy(self, u, v):
+        calls.append(np.shape(u))
+        return find_slots(self, u, v)
+
+    # A sink (3), a dead end (4) and an isolated node (5).
+    g = build_graph(6, [(0, 1), (1, 0), (1, 2), (2, 0), (2, 3), (0, 4), (4, 0)],
+                    directed=True)
+    monkeypatch.setattr(Graph, "_find_slots", spy)
+    runs = [sample_walks_iid(g, 40, 7, seed=seed, non_backtracking=True) for seed in (1, 2)]
+    assert calls == [(g.n_slots,)]
+    for seed, got in zip((1, 2), runs):
+        seeds = child_seeds(seed, 40)
+        _assert_same_walks(got, _run_walks_by_search(g, got.start_nodes, 7, seeds, True))
+
+
 # -----------------------------------------------------------------------------
 # Kernel law checks (Monte Carlo)
 # -----------------------------------------------------------------------------

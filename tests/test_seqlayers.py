@@ -464,26 +464,28 @@ def test_taped_calls_run_the_chain_as_one_block(kind, monkeypatch):
     assert taped.tobytes() == blocked.tobytes()
 
 
-def test_selective_blocks_run_three_full_size_multiplies_and_a_matmul_readout(monkeypatch):
+@pytest.mark.parametrize("taped", [False, True])
+def test_selective_blocks_run_one_scan_op_and_build_no_per_walk_state(taped, monkeypatch):
+    # Each walk block is one ad.selective_scan call (the whole batch is one
+    # block while a tape records), and no op output has the (m, T, d, N) shape
+    # of a per-walk state chain: the op keeps its states to itself.
     layer, x, mask = _block_case("selective", False)
-    calls = []
+    ndims = []
+    emit = ad._emit
 
-    def spy(name):
-        op = getattr(ad, name)
-
-        def call(*args, **kwargs):
-            out = op(*args, **kwargs)
-            calls.append((name, out.ndim))
-            return out
-        return call
-    for name in ("mul", "matmul", "reduce_sum"):
-        monkeypatch.setattr(ad, name, spy(name))
-    layer(Tensor(x.data), mask)
-    n_blocks = -(-x.shape[0] // _BLOCK)
-    assert n_blocks == 3
-    assert calls.count(("mul", 4)) <= 3 * n_blocks
-    assert calls.count(("matmul", 4)) == n_blocks
-    assert not [c for c in calls if c[0] == "reduce_sum"]
+    def spy(op, out_data, inputs, vjp):
+        ndims.append((op, out_data.ndim))
+        return emit(op, out_data, inputs, vjp)
+    monkeypatch.setattr(ad, "_emit", spy)
+    if taped:
+        with Tape() as tape:
+            loss = ad.reduce_sum(layer(x, mask))
+        backward(loss, tape)
+    else:
+        layer(Tensor(x.data), mask)
+    n_blocks = 1 if taped else -(-x.shape[0] // _BLOCK)     # 3 blocks untaped
+    assert ndims.count(("selective_scan", 3)) == n_blocks
+    assert [c for c in ndims if c[1] >= 4] == []
 
 
 @pytest.mark.parametrize("kind,limit_mib", [("selective", 32), ("s4", 16)])
@@ -539,3 +541,20 @@ def test_s4_taped_step_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"taped s4 step peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_selective_taped_step_memory_peak():
+    # A taped forward + backward at the eval_ssm shape keeps only the scan's
+    # inputs on the tape; its VJP recomputes each walk block's states.
+    layer = _layer("selective", dim=24, state=16, seed=35)
+    x = _input(512, 21, 24, seed=36)
+    mask = np.ones((512, 21), dtype=bool)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = ad.reduce_sum(layer(x, mask))
+        backward(loss, tape, leaves=layer.params.values())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**20, f"taped selective step peaked at {peak / 2**20:.1f} MiB"

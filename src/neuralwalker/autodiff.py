@@ -62,7 +62,7 @@ __all__ = [
     "param_uniform",
     "param_zeros",
     "add", "sub", "mul", "scale", "neg", "mask_rows", "matmul", "transpose", "reshape",
-    "concat", "slice_axis", "expand", "flip_axis",
+    "slice_axis", "expand", "flip_axis",
     "relu", "gelu", "sigmoid", "tanh", "exp", "log", "softplus", "silu",
     "softmax", "log_softmax", "reduce_sum", "reduce_mean",
     "layernorm", "conv1d_depthwise", "Segments", "segment_mean", "scatter_add",
@@ -354,17 +354,6 @@ def reshape(a, shape) -> Tensor:
     old = a.data.shape
     return _emit("reshape", a.data.reshape(shape), (a,),
                  lambda g: (g.reshape(old),))
-
-
-def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-    return _emit("concat", out, tuple(tensors), vjp)
 
 
 def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:

@@ -31,11 +31,9 @@ The selective kind discretizes per position inside one op,
 2312.00752): it forms ``((delta x) B_t) phi``, scans, and reads out ``C_t . h_t``
 with a stacked matmul, time-major on cache-sized blocks of walks, and its VJP
 recomputes the states from the op's five inputs, so no (walks, T, d, N) array
-lives on the tape. In inference mode the layer also calls the op on blocks of
-walks (:func:`_walk_blocks`). Input mask, projections, gate and output mask run
-on the whole batch, and so does the op while a tape records. Every step of the
-op acts on one walk, so each walk's output bits do not depend on the block
-boundaries or on the walk count.
+lives on the tape. Input mask, projections, gate, op and output mask each run
+once on the whole batch. Every step of the op acts on one walk, so each walk's
+output bits do not depend on the op's blocks or on the walk count.
 """
 
 from __future__ import annotations
@@ -161,28 +159,6 @@ class AttentionLayer(_ParamHolder):
 # State-space layers
 # =============================================================================
 
-# A walk block holds about this many bytes per (k, T, d, N) float64 array of
-# the selective scan, the block size the op itself works in.
-_BLOCK_BYTES = ad._SCAN_BLOCK_BYTES
-
-
-def _walk_blocks(chain, tensors, per_walk: int) -> Tensor:
-    """``chain(*tensors)`` run on blocks of walks (axis 0) and joined again.
-
-    ``per_walk`` is the element count of one walk's slice of the chain's
-    largest array. Every step of ``chain`` must act on each walk alone, so the
-    output bits do not depend on where the blocks are cut. While a tape
-    records, the chain runs on the whole batch: each slice's VJP would return
-    a whole-batch buffer, a cost that grows with blocks x walks.
-    """
-    m = tensors[0].shape[0]
-    k = max(1, _BLOCK_BYTES // (8 * per_walk))
-    if m <= k or ad._active_tape() is not None:
-        return chain(*tensors)
-    return ad.concat([chain(*(ad.slice_axis(t, 0, lo, min(lo + k, m)) for t in tensors))
-                      for lo in range(0, m, k)], axis=0)
-
-
 class S4Layer(_ParamHolder):
     """Diagonal SSM: h_t = exp(delta*A) h_{t-1} + ZOH(delta, A, B) x_t, y = C h.
 
@@ -270,15 +246,12 @@ class SelectiveLayer(_ParamHolder):
 
     def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
         xm = ad.mask_rows(x, mask)
-        _, T, d = xm.shape
         p = self.params
         delta = ad.softplus(ad.add(ad.matmul(xm, p["w_delta"]), p["b_delta"]))  # (m,T,d)
         b_t = ad.add(ad.matmul(xm, p["w_b"]), p["b_b"])                         # (m,T,N)
         c_t = ad.add(ad.matmul(xm, p["w_c"]), p["b_c"])                         # (m,T,N)
         gate = ad.silu(ad.add(ad.matmul(xm, p["w_gate"]), p["b_gate"]))         # (m,T,d)
-
-        y = _walk_blocks(lambda *block: ad.selective_scan(*block, self.a),
-                         (xm, delta, b_t, c_t), T * d * self.state)
+        y = ad.selective_scan(xm, delta, b_t, c_t, self.a)
         return ad.mask_rows(ad.mul(y, gate), mask)
 
 

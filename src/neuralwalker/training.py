@@ -87,6 +87,19 @@ def _metric(task: str, preds: np.ndarray, targets: np.ndarray) -> tuple[str, flo
     return "mae", float(np.mean(np.abs(preds[:, 0] - np.asarray(targets))))
 
 
+def _check_head(config: ModelConfig, dataset: TaskDataset) -> None:
+    """Raise ShapeError unless the model predicts one row per graph that the
+    dataset's task scores: ``n_classes`` logits, or one regression value."""
+    if config.head != dataset.task or config.pooling == "none":
+        raise ShapeError(f"a {config.head!r} head with {config.pooling!r} pooling does not "
+                         f"fit the {dataset.task} task of dataset {dataset.name!r}")
+    width, want = ((config.n_classes, dataset.n_classes) if dataset.task == "classification"
+                   else (config.out_dim, 1))
+    if width != want:
+        raise ShapeError(f"the model's head has {width} outputs, the {dataset.task} task "
+                         f"of dataset {dataset.name!r} needs {want}")
+
+
 def evaluate(model: Model, dataset: TaskDataset, split: str, seed: int,
              repeat: int = 1, average_predictions: bool = False) -> dict:
     """Metric on a split, over ``repeat`` independent walk resamplings at the
@@ -101,10 +114,13 @@ def evaluate(model: Model, dataset: TaskDataset, split: str, seed: int,
     ------
     BadSchedule
         If ``repeat`` is below 1.
+    ShapeError
+        If the model's head does not fit the dataset's task.
     """
     if repeat < 1:
         raise BadSchedule(f"repeat must be at least 1, got {repeat}")
     graphs, targets = dataset.subset(split)
+    _check_head(model.config, dataset)
     seeds = child_seeds(seed ^ _EVAL_SALT, repeat)
     preds = [predict(model, graphs, int(s), rate=model.config.eval_rate) for s in seeds]
     if average_predictions:
@@ -153,6 +169,8 @@ def train_model(model: Model, dataset: TaskDataset, log_fn=None,
         If ``eval_every`` is below 1 or ``target_value`` is NaN.
     ParseError
         If the train or val split is missing or empty.
+    ShapeError
+        If the model's head does not fit the dataset's task.
     """
     if eval_every < 1:
         raise BadSchedule(f"eval_every must be at least 1, got {eval_every}")
@@ -161,6 +179,7 @@ def train_model(model: Model, dataset: TaskDataset, log_fn=None,
     cfg = model.config
     train_graphs, train_targets = dataset.subset("train")
     dataset.subset("val")  # a missing or empty val split fails before any epoch runs
+    _check_head(cfg, dataset)
     n_train = len(train_graphs)
     batches = _batched_indices(n_train, cfg.batch_size)
     total_steps = max(cfg.epochs * len(batches), 1)

@@ -161,14 +161,6 @@ def test_expand_gradients(rng):
     fd_gradcheck(lambda: _weighted_sum(ad.expand(y, (2, 3, 4)), w2), {"y": y})
 
 
-def test_concat_gradients(rng):
-    a = random_tensor(rng, (3, 2))
-    b = random_tensor(rng, (3, 4))
-    w = rng.standard_normal((3, 6))
-    fd_gradcheck(lambda: _weighted_sum(ad.concat([a, b], axis=-1), w),
-                 {"a": a, "b": b})
-
-
 def test_gather_scatter_segment_gradients(rng):
     x = random_tensor(rng, (4, 3))
     index = np.array([2, 0, 0, 3, 1, 2])

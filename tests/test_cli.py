@@ -557,6 +557,30 @@ def test_dataset_json_with_a_bad_field_type_exits_3(capsys, tmp_path, fields):
     _assert_parse_error(capsys, ["train", "--data", str(data_dir), "--epochs", "1"])
 
 
+@pytest.mark.parametrize("task,fields", [
+    ("cycle_path", {"head": "none"}),
+    ("cycle_path", {"head": "classification", "pooling": "none"}),    # node-level head
+    ("cycle_path", {"head": "regression"}),
+    ("triangle_count", {"head": "classification"}),
+    ("triangle_count", {"head": "regression", "out_dim": 3}),
+])
+def test_eval_with_a_head_that_does_not_fit_the_task_exits_3(capsys, tmp_path, task, fields):
+    from neuralwalker.datasets import make_dataset, save_dataset
+    data_dir = str(tmp_path / "data")
+    save_dataset(make_dataset(task, seed=0, n_train=4, n_val=2, n_test=2,
+                              min_nodes=4, max_nodes=5), data_dir)
+    ckpt = str(tmp_path / "model.nwtf")
+    save_checkpoint(Model(ModelConfig(hidden_dim=8, n_blocks=1, seq_layer="conv", kernel=3,
+                                      window=3, walk_length=3, node_dim=1, seed=5,
+                                      **fields)), ckpt)
+    code, out = run_cli(capsys, ["eval", "--data", data_dir, "--model", ckpt,
+                                 "--split", "test"])
+    assert code == 3
+    records = parse_lines(out)
+    assert [r["kind"] for r in records] == ["error"]
+    assert records[0]["error"] == "ShapeError"
+
+
 def test_threads_flag_is_gone(capsys, k3_path):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "2", "sample", "--graph", k3_path, "--length", "2"])

@@ -10,7 +10,6 @@ from neuralwalker.autodiff import Tape, Tensor, backward
 from neuralwalker.errors import BadHeads, BadKernel, BadTimestep, Unsupported
 from neuralwalker.optim import AdamW
 from neuralwalker.seqlayers import (
-    _BLOCK_BYTES,
     SEQ_LAYER_KINDS,
     AttentionLayer,
     Bidirectional,
@@ -180,9 +179,9 @@ def test_selective_matches_direct_recurrence(monkeypatch):
     mask[:2] = True
     mask[2, 2:] = False
     p = {k: t.data for k, t in layer.params.items()}
-    joined = _block_sizes(monkeypatch)
+    blocks = _block_sizes(monkeypatch)
     blocked = layer(x, mask).data
-    assert joined == [[_BLOCK, 1]]
+    assert blocks == [_BLOCK, 1]
     for y in (blocked, layer(Tensor(x.data[:3]), mask[:3]).data):
         k = y.shape[0]
         xs = x.data[:k] * mask[:k, :, None]
@@ -380,7 +379,7 @@ def test_layer_parameter_gradients(kind):
 
 # T = d = N = 8 is 4 KiB of float64 per walk in each (k, T, d, N) array.
 _BT = _BD = _BN = 8
-_BLOCK = _BLOCK_BYTES // (8 * _BT * _BD * _BN)
+_BLOCK = ad._SCAN_BLOCK_BYTES // (8 * _BT * _BD * _BN)
 # Less than a block, exactly one, one block and a walk, and >= 3 blocks with a
 # partial last block.
 _WALK_COUNTS = (1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + _BLOCK // 3)
@@ -401,16 +400,15 @@ def _block_case(kind, bidirectional):
 
 
 def _block_sizes(monkeypatch) -> list:
-    """Record the walk count of every block that ``ad.concat`` joins."""
-    joined = []
-    concat = ad.concat
+    """Record the walk count of every block that ``ad.selective_scan`` runs."""
+    blocks = []
+    block = ad._selective_block
 
-    def spy(tensors, axis=-1):
-        tensors = list(tensors)
-        joined.append([t.shape[0] for t in tensors])
-        return concat(tensors, axis=axis)
-    monkeypatch.setattr(ad, "concat", spy)
-    return joined
+    def spy(x, *rest):
+        blocks.append(x.shape[0])
+        return block(x, *rest)
+    monkeypatch.setattr(ad, "_selective_block", spy)
+    return blocks
 
 
 def test_walk_counts_span_the_block_cuts():
@@ -425,18 +423,18 @@ def test_blocked_forward_bits_equal_one_walk_calls(kind, bidirectional, monkeypa
     layer, x, mask = _block_case(kind, bidirectional)
     one_walk = np.concatenate([layer(Tensor(x.data[i:i + 1]), mask[i:i + 1]).data
                                for i in range(x.shape[0])])
-    joined = _block_sizes(monkeypatch)
+    blocks = _block_sizes(monkeypatch)
     for m in _WALK_COUNTS:
-        joined.clear()
+        blocks.clear()
         out = layer(Tensor(x.data[:m]), mask[:m]).data
         assert out.shape == (m, _BT, _BD)
         assert out.tobytes() == one_walk[:m].tobytes(), m
         if kind == "s4":  # a convolution over all walks: no walk blocks
-            assert joined == []
+            assert blocks == []
             continue
         n_blocks = -(-m // _BLOCK)
-        want = [] if n_blocks == 1 else [[_BLOCK] * (n_blocks - 1) + [m - (n_blocks - 1) * _BLOCK]]
-        assert joined == want * (2 if bidirectional else 1)
+        want = [_BLOCK] * (n_blocks - 1) + [m - (n_blocks - 1) * _BLOCK]
+        assert blocks == want * (2 if bidirectional else 1)
 
 
 @pytest.mark.parametrize("kind,bidirectional",
@@ -448,27 +446,30 @@ def test_blocked_layer_gradients(kind, bidirectional):
     def loss():
         return ad.reduce_sum(ad.mul(layer(x, mask), weights))
 
-    # The tape computes the gradient as one block; the finite differences run
-    # untaped, so through the blocks.
+    # The op's VJP and the untaped finite differences both run through the
+    # op's walk blocks.
     fd_gradcheck(loss, {**layer.params, "x": x}, n_probes=30, seed=34)
 
 
 @pytest.mark.parametrize("kind", ["s4", "selective"])
 def test_taped_calls_run_the_chain_as_one_block(kind, monkeypatch):
+    # The op blocks its walks the same way whether or not a tape records.
     layer, x, mask = _block_case(kind, False)
+    blocks = _block_sizes(monkeypatch)
     blocked = layer(x, mask).data
-    joined = _block_sizes(monkeypatch)
+    untaped_blocks = list(blocks)
+    blocks.clear()
     with Tape():
         taped = layer(x, mask).data
-    assert joined == []
+    assert blocks == untaped_blocks == ([] if kind == "s4" else [_BLOCK, _BLOCK, _BLOCK // 3])
     assert taped.tobytes() == blocked.tobytes()
 
 
 @pytest.mark.parametrize("taped", [False, True])
 def test_selective_blocks_run_one_scan_op_and_build_no_per_walk_state(taped, monkeypatch):
-    # Each walk block is one ad.selective_scan call (the whole batch is one
-    # block while a tape records), and no op output has the (m, T, d, N) shape
-    # of a per-walk state chain: the op keeps its states to itself.
+    # The layer makes one ad.selective_scan call on the whole batch, taped or
+    # not, and no op output has the (m, T, d, N) shape of a per-walk state
+    # chain: the op keeps its states to itself.
     layer, x, mask = _block_case("selective", False)
     ndims = []
     emit = ad._emit
@@ -483,8 +484,7 @@ def test_selective_blocks_run_one_scan_op_and_build_no_per_walk_state(taped, mon
         backward(loss, tape)
     else:
         layer(Tensor(x.data), mask)
-    n_blocks = 1 if taped else -(-x.shape[0] // _BLOCK)     # 3 blocks untaped
-    assert ndims.count(("selective_scan", 3)) == n_blocks
+    assert ndims.count(("selective_scan", 3)) == 1
     assert [c for c in ndims if c[1] >= 4] == []
 
 

@@ -120,6 +120,18 @@ def test_training_rejects_a_schedule_it_cannot_follow(kwargs):
         train_model(model, _small_dataset(), **kwargs)
 
 
+@pytest.mark.parametrize("task,fields", [("classification", {"head": "regression"}),
+                                         ("classification", {"pooling": "none"}),
+                                         ("classification", {"n_classes": 3}),
+                                         ("regression", {"head": "regression", "out_dim": 2})])
+def test_train_model_rejects_a_head_that_does_not_fit_the_task(task, fields, monkeypatch):
+    forwards = []
+    monkeypatch.setattr(Model, "forward", lambda *args, **kw: forwards.append(args))
+    with pytest.raises(ShapeError, match="head"):
+        train_model(Model(_config(**fields)), _small_dataset(task))
+    assert forwards == []
+
+
 def test_train_model_runs_the_config_epochs():
     dataset = _small_dataset()
     model = Model(_config(epochs=2), seed=0)

@@ -148,7 +148,9 @@ def _cmd_forward(args) -> list[str]:
     if result.pooled is not None:
         record["pooled_norm"] = float(np.linalg.norm(result.pooled.data[0]))
     if result.prediction is not None:
-        record["prediction"] = [float(x) for x in result.prediction.data[0]]
+        # The graph's row, or one row per node for a node-level head.
+        pred = result.prediction.data
+        record["prediction"] = (pred[0] if result.pooled is not None else pred).tolist()
     outputs = []
     if args.out:
         save_tensor(args.out, result.node_embeddings.data)
@@ -218,7 +220,7 @@ def _cmd_oracle(args) -> list[str]:
 
         def flag_count(nodes, edge_slots, mask):
             # offset-2 adjacency column: w_i adjacent to w_{i-2}
-            batch = WalkBatch(nodes, edge_slots, mask, nodes[:, 0], args.length)
+            batch = WalkBatch(nodes, edge_slots, mask)
             _, adjac = encode_batch(graph, batch, args.length + 1)
             return adjac[:, :, 1].sum(axis=1)
 

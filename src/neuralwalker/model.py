@@ -9,10 +9,11 @@ Blocks repeat this pipeline; a pooling + linear head reads out predictions.
 
 Graphs are processed as packed disjoint unions: a mini-batch is one
 block-diagonal graph plus per-node graph ids, so aggregation, virtual nodes,
-pooling, and normalization constants are all segment operations. The global
-transformer instead pads each graph's nodes to one (G, n_max, d) batch and
-runs the walk attention block on it, with padded keys masked. A single graph
-is a batch of one.
+pooling, and normalization constants are all segment operations. Under the
+``"constant"`` normalization a walk belongs to the graph of its start node, so
+a walk batch carries no graph ids of its own. The global transformer instead
+pads each graph's nodes to one (G, n_max, d) batch and runs the walk attention
+block on it, with padded keys masked. A single graph is a batch of one.
 
 Each index array a forward gathers or segments by becomes one
 ``autodiff.Segments`` plan, built once and shared by every block and VJP: the
@@ -214,7 +215,8 @@ def sample_walks_packed(pack: PackedGraphs, length: int, rate: float,
                         seed: int) -> tuple[WalkBatch, np.ndarray]:
     """Per-graph distinct-start sampling, executed as one vectorized run on the
     union graph. Walk j of graph i uses the stream mix(mix(seed, i), j), so the
-    batch is independent of packing order."""
+    batch is independent of packing order. Returns the batch and each walk's
+    graph id, which is the graph of its start node."""
     starts_all, seeds_all, gids = [], [], []
     graph_masters = child_seeds(seed, pack.n_graphs)
     for i, g in enumerate(pack.members):
@@ -358,12 +360,9 @@ def local_mp_gin(pack: PackedGraphs, h_v: Tensor, h_e: Tensor,
     """GIN-with-edges update:
     ``h + MLP((1 + eps) h(v) + sum_u relu(h(u) + proj(h_E(uv))))``."""
     union = pack.union
-    if union.n_slots:
-        msg = ad.add(ad.gather_rows(h_v, pack._col_indices_plan),
-                     _linear(h_e, params, f"{prefix}.gin_edge"))
-        neigh = ad.scatter_add(ad.relu(msg), pack._slot_src_plan, union.n_nodes)
-    else:
-        neigh = Tensor(np.zeros_like(h_v.data))
+    msg = ad.add(ad.gather_rows(h_v, pack._col_indices_plan),
+                 _linear(h_e, params, f"{prefix}.gin_edge"))
+    neigh = ad.scatter_add(ad.relu(msg), pack._slot_src_plan, union.n_nodes)
     eps = params[f"{prefix}.gin_eps"]
     one_plus = ad.add(eps, 1.0)                              # shape (1,)
     scaled = ad.mul(h_v, ad.expand(one_plus, (h_v.shape[1],)))
@@ -415,10 +414,10 @@ def global_mp_transformer(h_v: Tensor, graph_ids: np.ndarray, heads: int,
 class ForwardResult:
     node_embeddings: Tensor          # (n_total, d)
     pooled: Tensor | None            # (G, d) or None when pooling == "none"
-    prediction: Tensor | None        # (G, out) or None when head == "none"
+    prediction: Tensor | None        # (G, out), or (n_total, out) for a node-level head;
+                                     # None when head == "none"
     pack: PackedGraphs
     batch: WalkBatch | None
-    walk_graph_ids: np.ndarray | None
 
 
 class Model:
@@ -492,16 +491,15 @@ class Model:
             h_e = ad.expand(self.params["edge_embed"], (union.n_slots, cfg.hidden_dim))
         return h_v, h_e
 
-    def _norm_constants(self, pack: PackedGraphs, walk_gids: np.ndarray,
-                        length: int) -> np.ndarray:
-        """Per-node constant m_g * l / n_g used by the 'constant' variant."""
-        m_per_graph = np.bincount(walk_gids, minlength=pack.n_graphs)
+    def _norm_constants(self, pack: PackedGraphs, batch: WalkBatch) -> np.ndarray:
+        """Per-node constant m_g * l / n_g used by the 'constant' variant; a
+        walk counts towards the graph of its start node."""
+        m_per_graph = np.bincount(pack.graph_ids[batch.start_nodes], minlength=pack.n_graphs)
         n_per_graph = np.maximum(pack.n_nodes_per_graph, 1)
-        const = m_per_graph * length / n_per_graph
+        const = m_per_graph * batch.length / n_per_graph
         return np.maximum(const, 1e-300)[pack.graph_ids]
 
     def forward(self, graphs, seed: int = 0, walks: WalkBatch | None = None,
-                walk_graph_ids: np.ndarray | None = None,
                 rate: float | None = None) -> ForwardResult:
         """Run the pipeline on one graph or a list of graphs.
 
@@ -515,22 +513,16 @@ class Model:
             [graphs] if isinstance(graphs, Graph) else list(graphs))
         if cfg.n_blocks == 0:
             pooled, pred = self._readout(Tensor(pack.union.node_features), pack)
-            return ForwardResult(Tensor(pack.union.node_features), pooled, pred,
-                                 pack, None, None)
-        if walks is None:
-            batch, walk_gids = sample_walks_packed(
-                pack, cfg.walk_length, cfg.rate if rate is None else rate,
-                cfg.non_backtracking, cfg.start_distribution, seed)
-        else:
-            batch = walks
-            walk_gids = (walk_graph_ids if walk_graph_ids is not None
-                         else pack.graph_ids[batch.start_nodes])
+            return ForwardResult(Tensor(pack.union.node_features), pooled, pred, pack, None)
+        batch = walks if walks is not None else sample_walks_packed(
+            pack, cfg.walk_length, cfg.rate if rate is None else rate,
+            cfg.non_backtracking, cfg.start_distribution, seed)[0]
         ident, adjac = encode_batch(pack.union, batch, cfg.window)
         pe = np.concatenate([ident, adjac], axis=2)
 
         h_v, h_e = self._initial_states(pack)
         star = Tensor(np.zeros((pack.n_graphs, cfg.hidden_dim)))
-        const = (self._norm_constants(pack, walk_gids, batch.length)
+        const = (self._norm_constants(pack, batch)
                  if cfg.normalization == "constant" else None)
         walks = _WalkPlans(batch, pack.union.n_nodes, pack.union.n_slots)
         for t in range(cfg.n_blocks):
@@ -540,10 +532,9 @@ class Model:
             agg_v, visited_v = aggregate_nodes(seq_out, walks, pack.union.n_nodes, const)
             h_v = ad.add(h_v, ad.mask_rows(_layernorm(agg_v, self.params, f"{p}.ln_node"),
                                            visited_v))
-            if pack.union.n_slots:
-                agg_e, visited_e = aggregate_edges(seq_out, walks, pack.union.n_slots)
-                h_e = ad.add(h_e, ad.mask_rows(_layernorm(agg_e, self.params, f"{p}.ln_edge"),
-                                               visited_e))
+            agg_e, visited_e = aggregate_edges(seq_out, walks, pack.union.n_slots)
+            h_e = ad.add(h_e, ad.mask_rows(_layernorm(agg_e, self.params, f"{p}.ln_edge"),
+                                           visited_e))
             if cfg.local_mp == "gin":
                 h_v = _layernorm(local_mp_gin(pack, h_v, h_e, self.params, p),
                                  self.params, f"{p}.ln_local")
@@ -557,7 +548,7 @@ class Model:
                                           self.params, p),
                     self.params, f"{p}.ln_global")
         pooled, pred = self._readout(h_v, pack)
-        return ForwardResult(h_v, pooled, pred, pack, batch, walk_gids)
+        return ForwardResult(h_v, pooled, pred, pack, batch)
 
     def _readout(self, h_v: Tensor, pack: PackedGraphs) -> tuple[Tensor | None, Tensor | None]:
         cfg = self.config

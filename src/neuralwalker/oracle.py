@@ -224,8 +224,7 @@ def _battery_values(graph: Graph, length: int,
     over walk positions and the sum of squares over walk positions.
     """
     nodes, edge_slots, mask, probs = enumerate_walks(graph, length, non_backtracking)
-    batch = WalkBatch(nodes=nodes, edge_slots=edge_slots, mask=mask,
-                      start_nodes=nodes[:, 0].copy(), length=length)
+    batch = WalkBatch(nodes=nodes, edge_slots=edge_slots, mask=mask)
     ident, adjac = encode_batch(graph, batch, length + 1)
     out: dict[str, float] = {}
     for name, block in (("id", ident), ("adj", adjac)):

@@ -147,19 +147,26 @@ class WalkBatch:
     mask : ndarray of bool, shape (m, l+1)
         True at real positions. Column 0 is always True; columns 1..l are
         False exactly for walks whose start node has out-degree 0.
-    start_nodes : ndarray of int64, shape (m,)
-    length : int
+
+    Properties, derived from ``nodes`` and not settable: ``n_walks`` (m),
+    ``length`` (l), and ``start_nodes``, the (m,) view of column 0.
     """
 
     nodes: np.ndarray
     edge_slots: np.ndarray
     mask: np.ndarray
-    start_nodes: np.ndarray
-    length: int
 
     @property
     def n_walks(self) -> int:
         return int(self.nodes.shape[0])
+
+    @property
+    def length(self) -> int:
+        return int(self.nodes.shape[1]) - 1
+
+    @property
+    def start_nodes(self) -> np.ndarray:
+        return self.nodes[:, 0]
 
     def step_mask(self) -> np.ndarray:
         """(m, l) bool: step i is real iff position i+1 is real."""
@@ -299,8 +306,7 @@ def _run_walks(graph: Graph, starts: np.ndarray, length: int, seeds: np.ndarray,
             back = reverse[slot]
     mask = np.ones((m, length + 1), dtype=bool)
     mask[graph.degrees()[starts] == 0, 1:] = False
-    return WalkBatch(nodes=nodes, edge_slots=slots, mask=mask,
-                     start_nodes=starts.astype(np.int64), length=length)
+    return WalkBatch(nodes=nodes, edge_slots=slots, mask=mask)
 
 
 def sample_walks(graph: Graph, config: SamplerConfig, seed: int | None = None) -> WalkBatch:
@@ -442,8 +448,7 @@ def remap_walks(batch: WalkBatch, perm: np.ndarray, target: Graph) -> WalkBatch:
             k = int(np.argmax(found < 0))
             raise BadIndex(f"target graph has no arc {src[k]} -> {dst[k]} for a walk step")
         slots[step_ok] = found
-    return WalkBatch(nodes=nodes, edge_slots=slots, mask=batch.mask.copy(),
-                     start_nodes=perm[batch.start_nodes], length=batch.length)
+    return WalkBatch(nodes=nodes, edge_slots=slots, mask=batch.mask.copy())
 
 
 # =============================================================================
@@ -665,10 +670,5 @@ def walks_from_jsonl(text: str) -> WalkBatch:
         raise ParseError("walk mask entries must be 0 or 1")
     if not mask[:, 0].all() or np.any(mask[:, 1:] != mask[:, 1:2]):
         raise ParseError("walk mask must be all 1s, or a 1 followed by 0s")
-    return WalkBatch(
-        nodes=nodes,
-        edge_slots=_int_rows(rows[1], "edge_slots"),
-        mask=mask.astype(bool),
-        start_nodes=nodes[:, 0].copy(),
-        length=nodes.shape[1] - 1,
-    )
+    return WalkBatch(nodes=nodes, edge_slots=_int_rows(rows[1], "edge_slots"),
+                     mask=mask.astype(bool))

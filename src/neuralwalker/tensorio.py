@@ -13,6 +13,8 @@ concatenation with a JSON manifest naming each tensor in order.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ParseError, TooLarge
@@ -47,10 +49,11 @@ def loads_tensor(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     dims_end = pos + 8 * rank
     if dims_end > len(buf):
         raise ParseError("truncated tensor header")
-    dims = np.frombuffer(buf[pos:dims_end], dtype="<u8").astype(np.int64)
-    n = int(np.prod(dims)) if rank else 1
-    if n > _MAX_ELEMENTS:
-        raise TooLarge(f"tensor with {n} elements exceeds the {_MAX_ELEMENTS} cap")
+    # Python ints, so that a corrupt dim can neither wrap negative nor overflow the product.
+    dims = [int(d) for d in np.frombuffer(buf[pos:dims_end], dtype="<u8")]
+    n = math.prod(dims)
+    if max(dims, default=0) > _MAX_ELEMENTS or n > _MAX_ELEMENTS:
+        raise TooLarge(f"tensor dims {dims} exceed the {_MAX_ELEMENTS}-element cap")
     data_end = dims_end + 8 * n
     if data_end > len(buf):
         raise ParseError("truncated tensor payload")
@@ -68,7 +71,7 @@ def load_tensor(path) -> np.ndarray:
         buf = fh.read()
     arr, end = loads_tensor(buf)
     if end != len(buf):
-        raise ParseError(f"{end - len(buf)} trailing bytes after single tensor")
+        raise ParseError(f"{len(buf) - end} trailing bytes after single tensor")
     return arr
 
 

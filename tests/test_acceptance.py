@@ -99,8 +99,7 @@ def test_criterion_1_encodings_bit_exact(report):
                                                c4.edge_slot(1, 2),
                                                c4.edge_slot(2, 3),
                                                c4.edge_slot(3, 0)]]),
-                         mask=np.ones((1, 5), dtype=bool),
-                         start_nodes=np.array([0]), length=4)
+                         mask=np.ones((1, 5), dtype=bool))
         ident, adjac = encode_batch(c4, walk, 4)
         assert ident[0, 4, 3] == 1.0          # returned to the start
         assert ident[0].sum() == 1.0          # and nowhere else
@@ -129,8 +128,7 @@ def test_criterion_2_triangle_law(report):
 
 def _complete_walk_batch(graph, length):
     nodes, slots, mask, _ = enumerate_walks(graph, length)
-    return WalkBatch(nodes=nodes, edge_slots=slots, mask=mask,
-                     start_nodes=nodes[:, 0], length=length)
+    return WalkBatch(nodes=nodes, edge_slots=slots, mask=mask)
 
 
 def test_criterion_3_separates_refinement_blind_pair(report):
@@ -152,10 +150,8 @@ def test_criterion_3_separates_refinement_blind_pair(report):
                               kernel=3, window=3, walk_length=2, node_dim=1,
                               rate=1.0, seed=seed)
             model = Model(cfg, seed=seed)
-            p1 = model.forward(two_tri, walks=b1,
-                               walk_graph_ids=np.zeros(b1.n_walks, dtype=np.int64))
-            p2 = model.forward(hexagon, walks=b2,
-                               walk_graph_ids=np.zeros(b2.n_walks, dtype=np.int64))
+            p1 = model.forward(two_tri, walks=b1)
+            p2 = model.forward(hexagon, walks=b2)
             diff = float(np.linalg.norm(p1.pooled.data - p2.pooled.data))
             assert diff > 1e-6
 
@@ -176,8 +172,7 @@ def test_criterion_4_estimator_convergence(report):
             g.node_dim + g.edge_dim + 2 * window - 1)
 
         def per_walk(nodes, slots, mask):
-            batch = WalkBatch(nodes=nodes, edge_slots=slots, mask=mask,
-                              start_nodes=nodes[:, 0], length=length)
+            batch = WalkBatch(nodes=nodes, edge_slots=slots, mask=mask)
             return (walk_feature_matrix(g, batch, window=window) @ u).sum(axis=1)
 
         mean = exact_expectation(g, length, per_walk)

@@ -509,6 +509,42 @@ def test_transformer_forward_on_an_empty_graph_exits_0(capsys, tmp_path):
     assert record["n_nodes"] == 0 and record["prediction"] == [0.0]
 
 
+def test_node_level_forward_prints_one_row_per_node(capsys, tmp_path):
+    graph = cycle_graph(4, with_features=True)
+    graph_path = str(tmp_path / "c4.graph")
+    save_graph(graph, graph_path)
+    cfg = ModelConfig(hidden_dim=8, n_blocks=1, kernel=3, window=3, walk_length=3,
+                      head="regression", pooling="none", seed=5)
+    config = tmp_path / "model.json"
+    config.write_text(cfg.to_json())
+    code, out = run_cli(capsys, ["--no-timing", "--seed", "7", "forward",
+                                 "--graph", graph_path, "--config", str(config)])
+    assert code == 0
+    record = parse_lines(out)[0]
+    want = Model(cfg).forward(graph, seed=7).prediction.data
+    assert want.shape == (4, 1)
+    assert record["prediction"] == want.tolist()
+
+
+@pytest.mark.parametrize("dims", [(1 << 33, 1 << 31), ((1 << 64) - 1,), (0, 1 << 63)],
+                         ids=["product-wraps", "dim-wraps", "zero-then-huge"])
+def test_forward_on_a_checkpoint_with_corrupt_dims_exits_4(capsys, tmp_path, k3_path,
+                                                           config_path, dims):
+    with open(config_path) as fh:
+        model = Model(ModelConfig.from_json(fh.read()))
+    ckpt = tmp_path / "model.nwtf"
+    save_checkpoint(model, str(ckpt))
+    buf = ckpt.read_bytes()
+    header = tensorio.MAGIC + bytes([len(dims)]) + b"".join(
+        d.to_bytes(8, "little") for d in dims)
+    ckpt.write_bytes(header + buf[5 + 8 * buf[4]:])
+    code, out = run_cli(capsys, ["forward", "--graph", k3_path, "--model", str(ckpt)])
+    assert code == 4
+    records = parse_lines(out)
+    assert [r["kind"] for r in records] == ["error"]
+    assert records[0]["error"] == "TooLarge"
+
+
 @pytest.mark.parametrize("fields, error", [
     ({"hidden_dim": "x"}, "ParseError"),
     ({"n_blocks": 2.5}, "ParseError"),

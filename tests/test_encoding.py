@@ -42,8 +42,7 @@ def one_walk(graph, nodes):
     nodes = np.asarray(nodes, dtype=np.int64).reshape(1, -1)
     slots = [graph.edge_slot(int(u), int(v)) for u, v in zip(nodes[0, :-1], nodes[0, 1:])]
     return WalkBatch(nodes=nodes, edge_slots=np.array([slots], dtype=np.int64),
-                     mask=np.ones_like(nodes, dtype=bool), start_nodes=nodes[:, 0].copy(),
-                     length=nodes.shape[1] - 1)
+                     mask=np.ones_like(nodes, dtype=bool))
 
 
 # -----------------------------------------------------------------------------
@@ -207,8 +206,7 @@ def test_feature_matrix_bytes_match_block_formula():
     # A file-style walk whose position 1 is masked while step 1 has a slot.
     holed = WalkBatch(nodes=np.array([[0, 1, 2, 3]]),
                       edge_slots=np.array([[-1, g.edge_slot(1, 2), g.edge_slot(2, 3)]]),
-                      mask=np.array([[True, False, True, True]]),
-                      start_nodes=np.array([0]), length=3)
+                      mask=np.array([[True, False, True, True]]))
     for batch in (sampled, holed):
         l = batch.length
         for window in (None, 1, 2, l + 3):

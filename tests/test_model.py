@@ -90,6 +90,7 @@ def test_packed_sampling_respects_graph_boundaries():
                                       start_distribution="uniform", seed=3)
     assert batch.n_walks == 12
     assert gids.tolist() == [0] * 4 + [1] * 5 + [2] * 3
+    assert (gids == pack.graph_ids[batch.start_nodes]).all()
     for j in range(batch.n_walks):
         lo = pack.node_offsets[gids[j]]
         hi = pack.node_offsets[gids[j] + 1]
@@ -253,8 +254,7 @@ def test_aggregate_single_and_double_visits():
     g = path_graph(3)
     batch = WalkBatch(nodes=np.array([[0, 1, 0]]),
                       edge_slots=np.array([[0, 1]]),
-                      mask=np.ones((1, 3), dtype=bool),
-                      start_nodes=np.array([0]), length=2)
+                      mask=np.ones((1, 3), dtype=bool))
     seq = np.array([[[2.0], [10.0], [4.0]]])
     agg, visited = aggregate_nodes(Tensor(seq), batch, 3)
     assert agg.data.ravel().tolist() == [3.0, 10.0, 0.0]  # node 0 seen twice
@@ -590,11 +590,10 @@ def test_unvisited_nodes_keep_their_state_bit_for_bit():
     pack = pack_graphs([g])
     walks = WalkBatch(nodes=np.array([[0, 1, 0, 1, 0]]),
                       edge_slots=np.array([[0, 0, 0, 0]]),
-                      mask=np.ones((1, 5), dtype=bool),
-                      start_nodes=np.array([0]), length=4)
+                      mask=np.ones((1, 5), dtype=bool))
     initial = (Tensor(g.node_features) @ model.params["node_in.w"]
                + model.params["node_in.b"]).data
-    result = model.forward(pack, walks=walks, walk_graph_ids=np.array([0]))
+    result = model.forward(pack, walks=walks)
     assert (result.node_embeddings.data[2] == initial[2]).all()
     assert (result.node_embeddings.data[3] == initial[3]).all()
     assert not (result.node_embeddings.data[0] == initial[0]).all()
@@ -617,10 +616,8 @@ def test_isomorphic_graphs_give_identical_outputs_on_remapped_walks():
     model = Model(cfg, seed=5)
     batch = sample_walks(g, SamplerConfig(length=6, rate=1.0), seed=21)
     mapped = remap_walks(batch, perm, g_iso)
-    r1 = model.forward(pack_graphs([g]), walks=batch,
-                       walk_graph_ids=np.zeros(batch.n_walks, dtype=np.int64))
-    r2 = model.forward(pack_graphs([g_iso]), walks=mapped,
-                       walk_graph_ids=np.zeros(batch.n_walks, dtype=np.int64))
+    r1 = model.forward(pack_graphs([g]), walks=batch)
+    r2 = model.forward(pack_graphs([g_iso]), walks=mapped)
     assert np.abs(r1.prediction.data - r2.prediction.data).max() < 1e-9
     assert np.abs(r1.pooled.data - r2.pooled.data).max() < 1e-9
 
@@ -654,6 +651,22 @@ def test_walk_functional_readout_equals_plain_walk_average():
     assert abs(got - want) < 1e-12
 
 
+def test_constant_forward_on_injected_sampled_walks_equals_the_sampled_forward():
+    # Each walk belongs to the graph of its start node, so injecting the
+    # pack's own sampled walks gives the same per-graph constants. At rate 0.5
+    # the two graphs get 2 walks each on 5 and 3 nodes, so the constants differ.
+    pack = pack_graphs([cycle_graph(5, with_features=True),
+                        path_graph(3, with_features=True)])
+    model = Model(_tiny_config(normalization="constant", head="regression", rate=0.5),
+                  seed=8)
+    sampled = model.forward(pack, seed=4)
+    injected = model.forward(pack, walks=sampled.batch)
+    assert sampled.batch.n_walks == 4
+    for got, want in ((injected.prediction, sampled.prediction),
+                      (injected.node_embeddings, sampled.node_embeddings)):
+        assert got.data.tobytes() == want.data.tobytes()
+
+
 def test_normalization_variants_agree_when_visits_match_constant():
     # On a start-everywhere length-1 batch over a vertex-transitive graph,
     # every node is visited the same number of times, so the two
@@ -664,8 +677,7 @@ def test_normalization_variants_agree_when_visits_match_constant():
                                            [g.edge_slot(1, 2)],
                                            [g.edge_slot(2, 3)],
                                            [g.edge_slot(3, 0)]]),
-                      mask=np.ones((4, 2), dtype=bool),
-                      start_nodes=np.array([0, 1, 2, 3]), length=1)
+                      mask=np.ones((4, 2), dtype=bool))
     seq = np.random.default_rng(14).standard_normal((4, 2, 3))
     visits, _ = aggregate_nodes(Tensor(seq), batch, 4)
     const, _ = aggregate_nodes(Tensor(seq), batch, 4, np.full(4, 2.0))

@@ -331,8 +331,7 @@ def test_covering_walk_encodings_identify_small_graphs():
             nodes, slots, mask, _ = enumerate_walks(g, length)
             covering = np.array([len(set(r)) == n for r in nodes.tolist()])
             assert covering.any(), f"graph {idx} on {n} nodes has no covering walk"
-            batch = WalkBatch(nodes=nodes, edge_slots=slots, mask=mask,
-                              start_nodes=nodes[:, 0].copy(), length=length)
+            batch = WalkBatch(nodes=nodes, edge_slots=slots, mask=mask)
             ident, adjac = encode_batch(g, batch, length + 1)
             signatures = np.concatenate([ident, adjac], axis=2)[covering]
             for sig in signatures:

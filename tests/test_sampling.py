@@ -1,5 +1,6 @@
 """Walk sampler tests: determinism, kernel laws, coverage, serialization."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -233,8 +234,7 @@ def _run_walks_by_search(graph, starts, length, seeds, non_backtracking):
         prev, cur = cur, nxt
     mask = np.ones((m, length + 1), dtype=bool)
     mask[graph.degrees()[starts] == 0, 1:] = False
-    return WalkBatch(nodes=nodes, edge_slots=slots, mask=mask, start_nodes=starts.copy(),
-                     length=length)
+    return WalkBatch(nodes=nodes, edge_slots=slots, mask=mask)
 
 
 @settings(max_examples=200, deadline=None)
@@ -511,8 +511,16 @@ def _walk_batches(draw):
     batch = sample_walks(g, config, seed=draw(st.integers(0, 2**32)))
     shift = draw(st.sampled_from([0, 9, 10**6, 10**12, 2**63 - 8]))
     batch.nodes = batch.nodes + shift
-    batch.start_nodes = batch.start_nodes + shift
     return batch
+
+
+def test_walk_batch_stores_only_nodes_slots_and_mask():
+    assert [f.name for f in dataclasses.fields(WalkBatch)] == ["nodes", "edge_slots", "mask"]
+    batch = sample_walks(cycle_graph(6), SamplerConfig(length=4, rate=0.5), seed=1)
+    assert batch.length == 4 and batch.n_walks == 3
+    assert (batch.start_nodes == batch.nodes[:, 0]).all()
+    with pytest.raises(AttributeError):
+        batch.length = 5
 
 
 def _assert_same_walks(got, want):
@@ -539,7 +547,7 @@ def test_jsonl_round_trip_spans_several_format_blocks():
 def test_jsonl_reader_returns_contiguous_arrays_that_share_no_memory():
     batch = sample_walks(cycle_graph(40), SamplerConfig(length=5, rate=1.0), seed=3)
     back = walks_from_jsonl(walks_to_jsonl(batch))
-    arrays = (back.nodes, back.edge_slots, back.mask, back.start_nodes)
+    arrays = (back.nodes, back.edge_slots, back.mask)
     for arr in arrays:
         assert arr.flags["C_CONTIGUOUS"]
     for i, a in enumerate(arrays):
@@ -552,8 +560,7 @@ def test_jsonl_reader_returns_contiguous_arrays_that_share_no_memory():
 def test_jsonl_writer_writes_one_newline_for_no_walks():
     batch = WalkBatch(nodes=np.zeros((0, 4), dtype=np.int64),
                       edge_slots=np.zeros((0, 3), dtype=np.int64),
-                      mask=np.zeros((0, 4), dtype=bool),
-                      start_nodes=np.zeros(0, dtype=np.int64), length=3)
+                      mask=np.zeros((0, 4), dtype=bool))
     assert walks_to_jsonl(batch) == _reference_jsonl(batch) == "\n"
 
 
@@ -577,7 +584,7 @@ def _edge_batches(draw):
     mask = np.ones((m, length + 1), dtype=bool)
     mask[rng.random(m) < 0.2, 1:] = False
     return WalkBatch(nodes=nodes, edge_slots=palette[rng.integers(len(palette), size=(m, length))],
-                     mask=mask, start_nodes=nodes[:, 0].copy(), length=length)
+                     mask=mask)
 
 
 @settings(max_examples=60, deadline=None)
@@ -664,8 +671,7 @@ def test_jsonl_rejects_text_after_the_last_canonical_record(tail):
 
 def _one_walk(nodes, slots, mask):
     return WalkBatch(nodes=np.array([nodes]), edge_slots=np.array([slots]),
-                     mask=np.array([mask], dtype=bool), start_nodes=np.array([nodes[0]]),
-                     length=len(slots))
+                     mask=np.array([mask], dtype=bool))
 
 
 def test_validate_accepts_sampled_walks_that_stop_at_a_directed_sink():

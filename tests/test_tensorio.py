@@ -75,8 +75,8 @@ def test_truncation_rejected():
 def test_trailing_bytes_rejected_for_single_tensor(tmp_path):
     path = tmp_path / "trail.nwtf"
     with open(path, "wb") as fh:
-        fh.write(dumps_tensor(np.ones(2)) + b"\x00")
-    with pytest.raises(ParseError, match="trailing"):
+        fh.write(dumps_tensor(np.ones(2)) + b"\x00" * 3)
+    with pytest.raises(ParseError, match="^3 trailing bytes"):
         load_tensor(path)
 
 
@@ -84,6 +84,17 @@ def test_corrupt_header_cannot_trigger_huge_allocation():
     huge = MAGIC + bytes([1]) + struct.pack("<Q", 1 << 40)
     with pytest.raises(TooLarge):
         loads_tensor(huge)
+
+
+@pytest.mark.parametrize("dims", [
+    (1 << 33, 1 << 31),   # int64 product wraps to 0
+    ((1 << 64) - 1,),     # reads as -1 in int64
+    (0, 1 << 63),         # empty, but the second dim reads as negative
+], ids=["product-wraps", "dim-wraps", "zero-then-huge"])
+def test_corrupt_dims_raise_too_large(dims):
+    header = MAGIC + bytes([len(dims)]) + struct.pack(f"<{len(dims)}Q", *dims)
+    with pytest.raises(TooLarge):
+        loads_tensor(header + bytes(64))
 
 
 def test_int_input_is_stored_as_float64():

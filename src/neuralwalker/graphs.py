@@ -50,8 +50,6 @@ class Graph:
 
     Attributes
     ----------
-    n_nodes : int
-        Number of nodes, indexed ``0 .. n_nodes-1``.
     directed : bool
         When False, every edge occupies two slots (both orientations) whose
         feature rows are equal.
@@ -59,12 +57,14 @@ class Graph:
         CSR offsets; the slots of node ``v`` are ``row_offsets[v]:row_offsets[v+1]``.
     col_indices : ndarray of int64, shape (n_slots,)
         Slot targets, sorted ascending inside each row.
-    slot_src : ndarray of int64, shape (n_slots,)
-        Slot sources (``slot_src[s]`` is the row that owns slot ``s``).
     node_features : ndarray of float64, shape (n_nodes, node_dim)
     edge_features : ndarray of float64, shape (n_slots, edge_dim)
         Per-slot feature rows; mirrored slots of an undirected edge carry
         identical values.
+
+    Derived: ``n_nodes`` (nodes are ``0 .. n_nodes-1``) and ``n_slots`` from the
+    array lengths, ``node_dim`` and ``edge_dim`` from the feature widths, and
+    ``slot_src`` (the row that owns each slot) from ``row_offsets``, once.
 
     Edge lookups search the sorted CSR row of the source node. ``has_edge``,
     ``edge_slot`` and the sampler's slot lookups cost about log2(max degree)
@@ -74,15 +74,17 @@ class Graph:
     L being the longest scanned row; longer rows are searched.
     """
 
-    n_nodes: int
     directed: bool
     row_offsets: np.ndarray
     col_indices: np.ndarray
-    slot_src: np.ndarray
     node_features: np.ndarray
     edge_features: np.ndarray
 
     # --- sizes -----------------------------------------------------------------
+
+    @property
+    def n_nodes(self) -> int:
+        return self.row_offsets.shape[0] - 1
 
     @property
     def n_slots(self) -> int:
@@ -213,6 +215,11 @@ class Graph:
         return np.where(found, pos, -1)
 
     @cached_property
+    def slot_src(self) -> np.ndarray:
+        """(n_slots,) int64: the source node of each slot, the row that owns it."""
+        return np.repeat(np.arange(self.n_nodes, dtype=np.int64), self.degrees())
+
+    @cached_property
     def _reverse_slots(self) -> np.ndarray:
         """(n_slots + 1,) int64: entry ``s`` is the slot of the arc back along
         slot ``s``, or -1 where the graph has none; the last entry, -1, is the
@@ -324,11 +331,9 @@ def build_graph(
     if src.shape[0]:
         np.cumsum(np.bincount(src, minlength=n_nodes), out=row_offsets[1:])
     return Graph(
-        n_nodes=n_nodes,
         directed=directed,
         row_offsets=row_offsets,
         col_indices=np.ascontiguousarray(dst),
-        slot_src=np.ascontiguousarray(src),
         node_features=node_features,
         edge_features=np.ascontiguousarray(feats),
     )
@@ -391,11 +396,9 @@ def disjoint_union(graphs) -> tuple[Graph, np.ndarray]:
     row_offsets[:-1] += np.repeat(slots[:-1], np.diff(offsets))
     shift = np.repeat(offsets[:-1], np.diff(slots))
     union = Graph(
-        n_nodes=int(offsets[-1]),
         directed=directed,
         row_offsets=row_offsets,
         col_indices=np.concatenate([g.col_indices for g in graphs]) + shift,
-        slot_src=np.concatenate([g.slot_src for g in graphs]) + shift,
         node_features=np.concatenate([g.node_features for g in graphs]),
         edge_features=np.concatenate([g.edge_features for g in graphs]),
     )

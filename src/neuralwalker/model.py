@@ -168,16 +168,37 @@ class ModelConfig:
 # Graph packing
 # =============================================================================
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PackedGraphs:
-    """A mini-batch as one disjoint-union graph."""
+    """A mini-batch as one disjoint-union graph.
 
-    union: Graph
-    node_offsets: np.ndarray    # (G+1,)
-    graph_ids: np.ndarray       # (n_total,) graph id per node
-    slot_offsets: np.ndarray    # (G+1,) slot-index offset per graph
-    n_graphs: int
-    members: list
+    Stored: ``members``, the graphs in pack order. Derived, and never
+    assignable: ``union`` and ``node_offsets`` ((G+1,), graph i's nodes are
+    ``node_offsets[i]:node_offsets[i+1]``) from one ``disjoint_union`` call at
+    construction; ``graph_ids`` (the graph of each node), ``n_graphs``,
+    ``slot_offsets`` ((G+1,), likewise for edge slots), ``n_nodes_per_graph``.
+    """
+
+    members: tuple
+    union: Graph = field(init=False)
+    node_offsets: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        union, node_offsets = disjoint_union(self.members)
+        object.__setattr__(self, "union", union)
+        object.__setattr__(self, "node_offsets", node_offsets)
+
+    @property
+    def n_graphs(self) -> int:
+        return len(self.members)
+
+    @cached_property
+    def graph_ids(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n_graphs, dtype=np.int64), self.n_nodes_per_graph)
+
+    @property
+    def slot_offsets(self) -> np.ndarray:
+        return self.union.row_offsets[self.node_offsets]
 
     @property
     def n_nodes_per_graph(self) -> np.ndarray:
@@ -199,24 +220,17 @@ class PackedGraphs:
 
 
 def pack_graphs(graphs) -> PackedGraphs:
-    graphs = list(graphs)
-    union, offsets = disjoint_union(graphs)
-    sizes = np.diff(offsets)
-    graph_ids = np.repeat(np.arange(len(graphs), dtype=np.int64), sizes)
-    slot_offsets = np.zeros(len(graphs) + 1, dtype=np.int64)
-    np.cumsum([g.n_slots for g in graphs], out=slot_offsets[1:])
-    return PackedGraphs(union=union, node_offsets=offsets, graph_ids=graph_ids,
-                        slot_offsets=slot_offsets, n_graphs=len(graphs),
-                        members=graphs)
+    return PackedGraphs(tuple(graphs))
 
 
 def sample_walks_packed(pack: PackedGraphs, length: int, rate: float,
                         non_backtracking: bool, start_distribution: str,
                         seed: int) -> tuple[WalkBatch, np.ndarray]:
     """Per-graph distinct-start sampling, executed as one vectorized run on the
-    union graph. Walk j of graph i uses the stream mix(mix(seed, i), j), so the
-    batch is independent of packing order. Returns the batch and each walk's
-    graph id, which is the graph of its start node."""
+    union graph. Walk j of the graph at pack position i uses the stream
+    mix(mix(seed, i), j), so a graph's walks depend on the seed, its position
+    in the pack and the graph itself, never on the other members. Returns the
+    batch and each walk's graph id, which is the graph of its start node."""
     starts_all, seeds_all, gids = [], [], []
     graph_masters = child_seeds(seed, pack.n_graphs)
     for i, g in enumerate(pack.members):
@@ -249,13 +263,6 @@ def _layernorm(x: Tensor, params: dict, name: str) -> Tensor:
     return ad.layernorm(x, params[f"{name}.gain"], params[f"{name}.bias"])
 
 
-def _out_slots(batch: WalkBatch) -> np.ndarray:
-    """(m, l+1) CSR slot of the real step leaving each position; -1 where none
-    does (the last position, masked steps, and steps that stay on a sink)."""
-    slots = np.where(batch.step_mask(), batch.edge_slots, -1)
-    return np.pad(slots, ((0, 0), (0, 1)), constant_values=-1)
-
-
 class _WalkPlans:
     """The index arrays of one walk batch on a pack of ``n_nodes`` nodes and
     ``n_slots`` edge slots, as segment plans. Each is built on first use.
@@ -268,7 +275,10 @@ class _WalkPlans:
 
     @cached_property
     def out_slots(self) -> np.ndarray:
-        return _out_slots(self.batch)
+        """(m, l+1) CSR slot of the real step leaving each position; -1 where none
+        does (the last position, masked steps, and steps that stay on a sink)."""
+        slots = np.where(self.batch.step_mask(), self.batch.edge_slots, -1)
+        return np.pad(slots, ((0, 0), (0, 1)), constant_values=-1)
 
     @cached_property
     def nodes(self) -> ad.Segments:
@@ -406,6 +416,15 @@ def global_mp_transformer(h_v: Tensor, graph_ids: np.ndarray, heads: int,
     return ad.gather_rows(ad.reshape(out, (mask.size, d)), flat)
 
 
+def _norm_constants(pack: PackedGraphs, batch: WalkBatch) -> np.ndarray:
+    """Per-node constant m_g * l / n_g used by the 'constant' variant; a
+    walk counts towards the graph of its start node."""
+    m_per_graph = np.bincount(pack.graph_ids[batch.start_nodes], minlength=pack.n_graphs)
+    n_per_graph = np.maximum(pack.n_nodes_per_graph, 1)
+    const = m_per_graph * batch.length / n_per_graph
+    return np.maximum(const, 1e-300)[pack.graph_ids]
+
+
 # =============================================================================
 # The model
 # =============================================================================
@@ -491,14 +510,6 @@ class Model:
             h_e = ad.expand(self.params["edge_embed"], (union.n_slots, cfg.hidden_dim))
         return h_v, h_e
 
-    def _norm_constants(self, pack: PackedGraphs, batch: WalkBatch) -> np.ndarray:
-        """Per-node constant m_g * l / n_g used by the 'constant' variant; a
-        walk counts towards the graph of its start node."""
-        m_per_graph = np.bincount(pack.graph_ids[batch.start_nodes], minlength=pack.n_graphs)
-        n_per_graph = np.maximum(pack.n_nodes_per_graph, 1)
-        const = m_per_graph * batch.length / n_per_graph
-        return np.maximum(const, 1e-300)[pack.graph_ids]
-
     def forward(self, graphs, seed: int = 0, walks: WalkBatch | None = None,
                 rate: float | None = None) -> ForwardResult:
         """Run the pipeline on one graph or a list of graphs.
@@ -511,6 +522,9 @@ class Model:
         cfg = self.config
         pack = graphs if isinstance(graphs, PackedGraphs) else pack_graphs(
             [graphs] if isinstance(graphs, Graph) else list(graphs))
+        widths, want = (pack.union.node_dim, pack.union.edge_dim), (cfg.node_dim, cfg.edge_dim)
+        if widths != want:
+            raise ShapeError(f"graph (node_dim, edge_dim) {widths} != config {want}")
         if cfg.n_blocks == 0:
             pooled, pred = self._readout(Tensor(pack.union.node_features), pack)
             return ForwardResult(Tensor(pack.union.node_features), pooled, pred, pack, None)
@@ -522,7 +536,7 @@ class Model:
 
         h_v, h_e = self._initial_states(pack)
         star = Tensor(np.zeros((pack.n_graphs, cfg.hidden_dim)))
-        const = (self._norm_constants(pack, batch)
+        const = (_norm_constants(pack, batch)
                  if cfg.normalization == "constant" else None)
         walks = _WalkPlans(batch, pack.union.n_nodes, pack.union.n_slots)
         for t in range(cfg.n_blocks):
@@ -596,8 +610,8 @@ def walk_functional_readout(graph: Graph, batch: WalkBatch, features: np.ndarray
     ``f(X) = (1/l) sum_i (u . X[i]) + b`` exactly.
     """
     pack = pack_graphs([graph])
-    m_l_over_n = np.full(graph.n_nodes, batch.n_walks * batch.length / graph.n_nodes)
-    agg, _ = aggregate_nodes(Tensor(features), batch, graph.n_nodes, m_l_over_n)
+    agg, _ = aggregate_nodes(Tensor(features), batch, graph.n_nodes,
+                             _norm_constants(pack, batch))
     pooled = ad.segment_mean(agg, pack.graph_ids, 1)
     value = pooled.data[0] @ np.asarray(u, dtype=np.float64) + float(b)
     return float(value)

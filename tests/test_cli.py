@@ -526,6 +526,25 @@ def test_node_level_forward_prints_one_row_per_node(capsys, tmp_path):
     assert record["prediction"] == want.tolist()
 
 
+@pytest.mark.parametrize("node_dim, edge_dim", [(1, 2), (2, 0)],
+                         ids=["edge-features-the-config-lacks", "wider-node-features"])
+def test_forward_with_feature_widths_other_than_the_configs_exits_3(capsys, tmp_path,
+                                                                    node_dim, edge_dim):
+    graph_path = str(tmp_path / "p3.graph")
+    save_graph(build_graph(3, [(0, 1), (1, 2)], node_features=np.ones((3, node_dim)),
+                           edge_features=np.ones((2, edge_dim))), graph_path)
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps({"hidden_dim": 8, "n_blocks": 1, "node_dim": 1,
+                                  "edge_dim": 0, "head": "regression", "window": 3,
+                                  "walk_length": 3}))
+    code, out = run_cli(capsys, ["forward", "--graph", graph_path, "--config", str(config)])
+    assert code == 3
+    records = parse_lines(out)
+    assert [r["kind"] for r in records] == ["error"]
+    assert records[0]["error"] == "ShapeError"
+    assert f"({node_dim}, {edge_dim}) != config" in records[0]["message"]
+
+
 @pytest.mark.parametrize("dims", [(1 << 33, 1 << 31), ((1 << 64) - 1,), (0, 1 << 63)],
                          ids=["product-wraps", "dim-wraps", "zero-then-huge"])
 def test_forward_on_a_checkpoint_with_corrupt_dims_exits_4(capsys, tmp_path, k3_path,

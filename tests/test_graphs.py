@@ -1,5 +1,6 @@
 """Graph container, text format, and synthetic-family tests."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -243,6 +244,15 @@ def test_is_connected_on_directed_graphs_matches_union_find():
         arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
         g = build_graph(n, arcs, directed=True)
         assert is_connected(g) == _weakly_connected_by_union_find(n, arcs), arcs
+
+
+def test_graph_stores_only_its_csr_arrays_and_features():
+    init = [f.name for f in dataclasses.fields(Graph) if f.init]
+    assert init == ["directed", "row_offsets", "col_indices", "node_features", "edge_features"]
+    g = build_graph(4, [(2, 0), (1, 2), (0, 1)], directed=True)
+    assert g.n_nodes == 4 and isinstance(g.n_nodes, int)
+    assert g.slot_src.tolist() == [0, 1, 2]
+    assert g.slot_src is g.slot_src
 
 
 def test_disjoint_union_offsets_and_structure():

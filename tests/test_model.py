@@ -1,5 +1,7 @@
 """Model pipeline tests: packing, stage semantics, invariances, skip rules."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from neuralwalker.graphs import (
 from neuralwalker.model import (
     Model,
     ModelConfig,
+    PackedGraphs,
     aggregate_edges,
     aggregate_nodes,
     embed_walks,
@@ -78,6 +81,31 @@ def test_pack_graphs_offsets_and_ids():
     assert pack.graph_ids.tolist() == [0, 0, 0, 1, 1]
     assert pack.slot_offsets.tolist() == [0, 6, 8]
     assert pack.n_nodes_per_graph.tolist() == [3, 2]
+
+
+def test_packed_graphs_takes_only_its_members():
+    assert [f.name for f in dataclasses.fields(PackedGraphs) if f.init] == ["members"]
+    graphs = (complete_graph(3, with_features=True), path_graph(2, with_features=True))
+    pack = PackedGraphs(graphs)
+    assert pack.members is graphs and pack.n_graphs == 2
+    with pytest.raises(TypeError):
+        PackedGraphs(graphs, graph_ids=np.zeros(5, dtype=np.int64))
+    with pytest.raises(TypeError):
+        PackedGraphs(members=graphs, n_graphs=3)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("graph_ids", np.zeros(5, dtype=np.int64)), ("n_graphs", 3), ("members", ()),
+    ("union", None), ("node_offsets", np.zeros(3, dtype=np.int64)),
+    ("slot_offsets", np.zeros(3, dtype=np.int64)),
+])
+def test_a_packs_attributes_cannot_be_assigned(name, value):
+    pack = pack_graphs([complete_graph(3, with_features=True),
+                        path_graph(2, with_features=True)])
+    ids = pack.graph_ids.copy()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(pack, name, value)
+    assert pack.n_graphs == 2 and (pack.graph_ids == ids).all()
 
 
 def test_packed_sampling_respects_graph_boundaries():
@@ -565,6 +593,16 @@ def test_forward_with_edge_features():
     result = model.forward(g, seed=0)
     assert result.prediction.shape == (1, 1)
     assert np.isfinite(result.prediction.data).all()
+
+
+@pytest.mark.parametrize("node_dim, edge_dim", [(1, 2), (2, 0)],
+                         ids=["edge-features-the-config-lacks", "wider-node-features"])
+def test_forward_rejects_feature_widths_other_than_the_configs(node_dim, edge_dim):
+    g = build_graph(3, [(0, 1), (1, 2)], node_features=np.ones((3, node_dim)),
+                    edge_features=np.ones((2, edge_dim)))
+    model = Model(_tiny_config(node_dim=1, edge_dim=0, head="regression"), seed=3)
+    with pytest.raises(ShapeError, match=rf"\({node_dim}, {edge_dim}\) != config \(1, 0\)"):
+        model.forward(g, seed=0)
 
 
 def test_forward_on_a_pack_with_no_edges():

@@ -9,7 +9,7 @@ message passing can treat every graph as a set of directed arcs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -44,7 +44,7 @@ __all__ = [
 _SCAN_DEGREE = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable graph in CSR form.
 
@@ -72,6 +72,8 @@ class Graph:
     slots once for all the targets its source is queried against, so such a
     source queried against k targets costs L gathers and L * k comparisons,
     L being the longest scanned row; longer rows are searched.
+
+    Graphs compare and hash by identity: ``g == h`` only when ``g is h``.
     """
 
     directed: bool
@@ -249,6 +251,11 @@ def build_graph(
 ) -> Graph:
     """Validate an edge list and assemble the CSR structure.
 
+    This is the entry point for edges from outside the program (files, user
+    code, the oracle's enumerations): every check under Raises runs on them.
+    The generators ``erdos_renyi_graph`` and ``random_regular_graph`` make
+    their edges as unique keys and pass them straight to the same assembly.
+
     Parameters
     ----------
     n_nodes : int
@@ -294,8 +301,14 @@ def build_graph(
             f"edge_features has {edge_features.shape[0]} rows for {n_in} edges"
         )
 
+    u, v = edge_arr[:, 0], edge_arr[:, 1]
+    # Canonical keys: ordered pair for directed graphs, sorted pair otherwise
+    # (so (u,v) and (v,u) collide).
+    if directed:
+        keys = u * n_nodes + v
+    else:
+        keys = np.minimum(u, v) * n_nodes + np.maximum(u, v)
     if n_in:
-        u, v = edge_arr[:, 0], edge_arr[:, 1]
         if np.any(u == v):
             bad = int(u[np.argmax(u == v)])
             raise SelfLoopEdge(f"self-loop at node {bad}")
@@ -303,39 +316,47 @@ def build_graph(
             flat = edge_arr.ravel()
             bad = int(flat[np.argmax((flat < 0) | (flat >= n_nodes))])
             raise BadIndex(f"edge endpoint {bad} out of range [0, {n_nodes})")
-        # Duplicate detection on canonical keys: ordered pair for directed
-        # graphs, sorted pair otherwise (so (u,v) and (v,u) collide).
-        if directed:
-            keys = u * n_nodes + v
-        else:
-            lo, hi = np.minimum(u, v), np.maximum(u, v)
-            keys = lo * n_nodes + hi
         uniq, counts = np.unique(keys, return_counts=True)
         if np.any(counts > 1):
             k = int(uniq[np.argmax(counts > 1)])
             raise DuplicateEdge(f"edge ({k // n_nodes}, {k % n_nodes}) given twice")
+    return _assemble(n_nodes, keys, directed, node_features, edge_features)
 
-    if directed or n_in == 0:
-        src, dst = edge_arr[:, 0], edge_arr[:, 1]
-        feats = edge_features
+
+def _assemble(n_nodes: int, keys: np.ndarray, directed: bool = False,
+              node_features=None, edge_features=None) -> Graph:
+    """The CSR graph of unique edge keys, without validating them.
+
+    ``keys`` are int64 ``u * n_nodes + v`` per arc when ``directed``, else
+    ``lo * n_nodes + hi`` per edge, all distinct and in ``[0, n_nodes**2)``.
+    ``edge_features`` has one row per key, and an undirected edge's mirror key
+    ``hi * n_nodes + lo`` gets the same row; missing features are zero-width.
+    Sorting the slot keys gives the lexicographic slot order, as the keys are
+    unique; the row lengths are the counts of each source. Callers own the
+    checks: ``build_graph`` validates edges from outside, and the generators
+    hand over the keys they made.
+    """
+    if node_features is None:
+        node_features = np.zeros((n_nodes, 0))
+    if edge_features is None:
+        edge_features = np.zeros((keys.shape[0], 0))
+    if not directed:
+        keys = np.concatenate([keys, keys % n_nodes * n_nodes + keys // n_nodes])
+        edge_features = np.concatenate([edge_features, edge_features])
+    if edge_features.shape[1]:
+        order = np.argsort(keys)
+        keys, edge_features = keys[order], edge_features[order]
     else:
-        src = np.concatenate([edge_arr[:, 0], edge_arr[:, 1]])
-        dst = np.concatenate([edge_arr[:, 1], edge_arr[:, 0]])
-        feats = np.concatenate([edge_features, edge_features], axis=0)
-
-    # The duplicate check above makes the (src, dst) keys unique, so any sort
-    # of them gives the lexicographic slot order.
-    order = np.argsort(src * n_nodes + dst)
-    src, dst, feats = src[order], dst[order], feats[order]
+        keys = np.sort(keys)
+    src = keys // n_nodes
     row_offsets = np.zeros(n_nodes + 1, dtype=np.int64)
-    if src.shape[0]:
-        np.cumsum(np.bincount(src, minlength=n_nodes), out=row_offsets[1:])
+    np.cumsum(np.bincount(src, minlength=n_nodes), out=row_offsets[1:])
     return Graph(
         directed=directed,
         row_offsets=row_offsets,
-        col_indices=np.ascontiguousarray(dst),
+        col_indices=keys - src * n_nodes,
         node_features=node_features,
-        edge_features=np.ascontiguousarray(feats),
+        edge_features=np.ascontiguousarray(edge_features),
     )
 
 
@@ -347,7 +368,7 @@ def is_connected(graph: Graph) -> bool:
     if graph.directed:  # BFS the undirected graph on the arcs' node pairs
         src, dst = graph.slot_src, graph.col_indices
         keys = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst))
-        graph = build_graph(n, np.stack([keys // n, keys % n], axis=1))
+        graph = _assemble(n, keys)
     offsets, dst = graph.row_offsets, graph.col_indices
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
@@ -578,18 +599,56 @@ def erdos_renyi_graph(
     require_connected: bool = False,
     max_tries: int = 200,
 ) -> Graph:
-    """G(n, p) with a seeded PCG64 stream; optionally resample until connected."""
+    """G(n, p) with a seeded PCG64 stream; optionally resample until connected.
+
+    Every try draws one ``rng.random`` value per node pair ``i < j``, in
+    row-major order, and keeps the pairs whose value is below ``p``. With
+    ``require_connected`` and ``n > 1``, a try that leaves some node without
+    an edge is rejected before any graph is built; a try that covers every
+    node is assembled and rejected unless ``is_connected``. Rejected tries of
+    either kind count toward ``max_tries``. A try's draws do not depend on
+    how an earlier one was rejected, so a seed always yields the same graph.
+
+    Raises
+    ------
+    BadIndex
+        If ``n < 0``.
+    Unsupported
+        If ``p`` lies outside [0, 1] or is NaN, if ``max_tries < 1``, or if
+        no connected sample turns up in ``max_tries`` tries.
+    """
+    if n < 0:
+        raise BadIndex(f"n_nodes must be >= 0, got {n}")
+    if not 0.0 <= p <= 1.0:
+        raise Unsupported(f"edge probability must lie in [0, 1], got {p}")
+    if max_tries < 1:
+        raise Unsupported(f"max_tries must be >= 1, got {max_tries}")
+    pairs, keys = _small_node_pairs(n) if n <= 64 else _node_pairs(n)
+    node_features = _unit_features(n) if with_features else None
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
-        iu, ju = np.triu_indices(n, k=1)
-        mask = rng.random(iu.shape[0]) < p
-        edges = np.stack([iu[mask], ju[mask]], axis=1)
-        g = build_graph(n, edges, node_features=_unit_features(n) if with_features else None)
+        mask = rng.random(keys.shape[0]) < p
+        if require_connected and n > 1 and not np.bincount(pairs[:, mask].ravel(),
+                                                           minlength=n).all():
+            continue
+        g = _assemble(n, keys[mask], node_features=node_features)
         if not require_connected or is_connected(g):
             return g
     raise Unsupported(
         f"no connected G({n}, {p}) sample in {max_tries} tries; raise p or max_tries"
     )
+
+
+def _node_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The node pairs ``i < j`` of ``n`` nodes in row-major order, as a (2, P)
+    array and as their ascending keys ``i * n + j``."""
+    pairs = np.stack(np.triu_indices(n, k=1))
+    return pairs, pairs[0] * n + pairs[1]
+
+
+# The pairs of the 16 sizes last drawn at up to 64 nodes (at most 2016 pairs,
+# 48 kB, a size): dataset builders draw many small graphs of a few sizes.
+_small_node_pairs = lru_cache(maxsize=16)(_node_pairs)
 
 
 def random_regular_graph(n: int, d: int, seed: int) -> Graph:
@@ -604,6 +663,8 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
     repeats of an edge at a lower position, each in ascending position -- and
     swaps each one with a random partner edge that makes no new duplicate.
     The first cycle has no duplicates, so it draws nothing from ``rng``.
+    The repaired keys are unique by construction, so the CSR is assembled
+    from them directly, without ``build_graph``'s checks for outside edges.
     """
     if d % 2 != 0 or d <= 0:
         raise Unsupported(f"random_regular_graph needs even positive degree, got {d}")
@@ -643,5 +704,4 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
         else:
             raise Unsupported("could not repair duplicate edges; lower d or change seed")
         earlier = np.sort(np.concatenate([keys, earlier]))
-    edges = earlier[:-1]
-    return build_graph(n, np.stack([edges // n, edges % n], axis=1))
+    return _assemble(n, earlier[:-1])

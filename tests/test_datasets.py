@@ -1,5 +1,6 @@
 """Dataset builder and on-disk format tests."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -39,6 +40,24 @@ def test_triangle_targets_match_oracle():
     for g, t in zip(ds.graphs, ds.targets):
         assert 6 <= g.n_nodes <= 8
         assert t == float(triangle_count(g))
+
+
+@pytest.mark.parametrize("seed,sha", [
+    (0, "c9534f2fadad0387eaa54535d14c840961723ba0cba792bc8df6cb14628cecf4"),
+    (7, "22ca2a5a65c5cc1e0e40eb35d5ee39198d6aa70339da9fb117c1fab1055bca70"),
+])
+def test_triangle_count_dataset_bytes_are_pinned(seed, sha):
+    """sha256 over each graph's array digest, in order, then the targets."""
+    ds = make_dataset("triangle_count", seed=seed)
+    digest = hashlib.sha256()
+    for g in ds.graphs:
+        graph_digest = hashlib.sha256()
+        for a in (g.row_offsets, g.col_indices, g.node_features, g.edge_features):
+            graph_digest.update(repr(a.shape).encode())
+            graph_digest.update(a.tobytes())
+        digest.update(graph_digest.hexdigest().encode())
+    digest.update(ds.targets.tobytes())
+    assert digest.hexdigest() == sha
 
 
 def test_splits_partition_the_samples():

@@ -255,6 +255,14 @@ def test_graph_stores_only_its_csr_arrays_and_features():
     assert g.slot_src is g.slot_src
 
 
+def test_graphs_compare_and_hash_by_identity():
+    g, h = cycle_graph(4), cycle_graph(4)
+    assert g == g and not g != g
+    assert g != h and not g == h
+    assert {g, h, g} == {g, h}
+    assert len({g, h}) == 2 and hash(g) == hash(g)
+
+
 def test_disjoint_union_offsets_and_structure():
     g1 = complete_graph(3, with_features=True)
     g2 = path_graph(2, with_features=True)
@@ -438,6 +446,38 @@ def test_erdos_renyi_seeded_and_connected_option():
     assert g3.n_nodes == 10
 
 
+def test_erdos_renyi_negative_node_count_raises_bad_index():
+    with pytest.raises(BadIndex):
+        erdos_renyi_graph(-1, 0.5, seed=0)
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan"), float("inf")])
+def test_erdos_renyi_edge_probability_outside_unit_interval_raises(p):
+    with pytest.raises(Unsupported, match="edge probability"):
+        erdos_renyi_graph(5, p, seed=0)
+
+
+@pytest.mark.parametrize("require_connected", [False, True])
+@pytest.mark.parametrize("max_tries", [0, -3])
+def test_erdos_renyi_max_tries_below_one_raises(max_tries, require_connected):
+    with pytest.raises(Unsupported, match="max_tries must be >= 1"):
+        erdos_renyi_graph(5, 0.5, seed=0, require_connected=require_connected,
+                          max_tries=max_tries)
+
+
+def test_erdos_renyi_builds_no_candidate_with_an_isolated_node(monkeypatch):
+    """Seed 3's first five G(8, 0.3) tries leave a node without an edge: only
+    the sixth try reaches ``is_connected``."""
+    import neuralwalker.graphs as graphs_mod
+
+    seen = []
+    real = graphs_mod.is_connected
+    monkeypatch.setattr(graphs_mod, "is_connected", lambda g: seen.append(g) or real(g))
+    g = erdos_renyi_graph(8, 0.3, seed=3, require_connected=True)
+    assert seen == [g]
+    assert (g.degrees() > 0).all()
+
+
 def test_random_regular_degree_and_connectivity():
     for seed in range(5):
         g = random_regular_graph(20, 4, seed=seed)
@@ -474,6 +514,67 @@ def _csr_sha256(g):
 def test_random_regular_graph_csr_is_pinned(n, d, seed, sha):
     """Pinned CSR bytes: the repair keeps its order and its ``rng`` draws."""
     assert _csr_sha256(random_regular_graph(n, d, seed=seed)) == sha
+
+
+def _graph_sha256(g):
+    """sha256 over the shape and bytes of every stored array of ``g``."""
+    digest = hashlib.sha256()
+    for a in (g.row_offsets, g.col_indices, g.node_features, g.edge_features):
+        digest.update(repr(a.shape).encode())
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+# (n, p, seed, require_connected, with_features, sha256). With require_connected,
+# the tries of (6, 0.3, 4), (10, 0.3, 9) and (30, 0.12, 42) are rejected both for
+# an isolated node and by ``is_connected``; (2, 0.3, 0)'s first try has no edge.
+_ER_PINS = [
+    (0, 0.3, 1, False, False, "cffd503f8118c20aa284051c4860fa3ced3468c6aea059c553c5ec65656146c5"),
+    (0, 0.3, 1, False, True, "af5208972414899c8852174eb49f4bde90aa6b1684fe7e11a7089a9f79715d38"),
+    (0, 0.3, 1, True, False, "cffd503f8118c20aa284051c4860fa3ced3468c6aea059c553c5ec65656146c5"),
+    (0, 0.3, 1, True, True, "af5208972414899c8852174eb49f4bde90aa6b1684fe7e11a7089a9f79715d38"),
+    (1, 0.3, 1, False, False, "bbf399f1e45f6f5e1e76ee5de87f30088230ae054b074adf23a8ef960c33fe60"),
+    (1, 0.3, 1, False, True, "34855e40d5794b041486f91e9ed28bf3956c68fc84c0a9fa86fd1f89b24b70d5"),
+    (1, 0.3, 1, True, False, "bbf399f1e45f6f5e1e76ee5de87f30088230ae054b074adf23a8ef960c33fe60"),
+    (1, 0.3, 1, True, True, "34855e40d5794b041486f91e9ed28bf3956c68fc84c0a9fa86fd1f89b24b70d5"),
+    (2, 0.3, 0, False, False, "802244320a59e4c8ebfcc1a15d828729fbac4df960178a65771c7062a12be523"),
+    (2, 0.3, 0, False, True, "a1d51d9842c1a87b67424faa44e6b7b34c1e31fb4331861b5b5c4de53ddec501"),
+    (2, 0.3, 0, True, False, "fc2618fbf57411bd7576b20d899fc1a1c0f852349de8129dedd632c96812ac5e"),
+    (2, 0.3, 0, True, True, "86bbfe7017d9cf2b274a958171ca121c966163ac23a746a1ea08db12c3b41c17"),
+    (6, 0.3, 4, False, False, "47ba0db0bd8d1b93ceabef69ad3a6706d142ff80a647629b5965efd786fd2585"),
+    (6, 0.3, 4, False, True, "58e2e16aa8713353eb2489a2186aca81dc2bc38393aaf9cc7e893d8c95e3b3e0"),
+    (6, 0.3, 4, True, False, "3afd6c0d0a24bb41dae98ec6e7fc40e4b058683def0c063f1f52901902b4d7cd"),
+    (6, 0.3, 4, True, True, "83b75840b44417fcb12598d13f1676b4a60b257c7cfaaf94299983cef453e879"),
+    (10, 0.3, 9, False, False, "7a4d2e83eca566ef6f4d4562945ff2e2253f7b2ee6e3b6eaa4ab02560a57b22a"),
+    (10, 0.3, 9, False, True, "d81bf3d4b63f78c18e1ef4f5280b9fa3ee422cd5a71536fbb83c60dd3e0fb783"),
+    (10, 0.3, 9, True, False, "43f28e9783119919182680d2081266db628ba428cf3161f0850e1cec25a017a3"),
+    (10, 0.3, 9, True, True, "5d7aebd5cbcf5a3e46bc202ea5b06d784aa1d1d890044859602d0fa17f0be271"),
+    (30, 0.12, 42, False, False, "49335e06a68b4400e222dd488b4e735200816e1fcbd5f7f5f1f99a91f9f9a116"),
+    (30, 0.12, 42, False, True, "d81dc29c3a6d71f1d57e791f2b3a35eff5b267236d8c1a58e6b99438800b6468"),
+    (30, 0.12, 42, True, False, "75740c8edd7891bb068ca471da356c4a6cc6b99fc2093904bc8ddcbf64a7c041"),
+    (30, 0.12, 42, True, True, "c8944188cf105dd1cdf0dab82dad63f83c9244b5a0fb08465ccfff55c79e851b"),
+]
+
+
+@pytest.mark.parametrize("n,p,seed,require_connected,with_features,sha", _ER_PINS)
+def test_erdos_renyi_graph_bytes_are_pinned(n, p, seed, require_connected, with_features, sha):
+    g = erdos_renyi_graph(n, p, seed=seed, with_features=with_features,
+                          require_connected=require_connected)
+    assert _graph_sha256(g) == sha
+
+
+# G(8, 0.3): seed 3's first five tries leave a node without an edge; seed 13's
+# first try covers every node but is disconnected, and its next four leave a
+# node without an edge. Both accept their sixth try.
+@pytest.mark.parametrize("seed,sha", [
+    (3, "b171fe075ec617170ad8e86f977ed8d9f72d5c8e3e07dff59192d1c85091c5ad"),
+    (13, "e19dcbafdd9722181ce95bbd8b0d380e638bb48124a91919c7f6aa2b42121664"),
+])
+def test_rejected_erdos_renyi_tries_count_toward_max_tries(seed, sha):
+    g = erdos_renyi_graph(8, 0.3, seed=seed, require_connected=True, max_tries=6)
+    assert _graph_sha256(g) == sha
+    with pytest.raises(Unsupported, match="in 5 tries"):
+        erdos_renyi_graph(8, 0.3, seed=seed, require_connected=True, max_tries=5)
 
 
 @pytest.mark.parametrize("n,d,seed", [(7, 6, 1), (8, 6, 0), (9, 8, 0), (11, 10, 0),

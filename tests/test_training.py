@@ -1,5 +1,9 @@
 """Training loop, losses, evaluation, and checkpoint tests."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -220,3 +224,26 @@ def test_checkpoint_rejects_a_malformed_manifest(tmp_path, sidecar):
         fh.write(sidecar)
     with pytest.raises(ParseError):
         load_checkpoint(path)
+
+
+# The lines ``tools/train_digests.py`` printed when it was added; a change that
+# keeps the model's, sampler's and optimizer's bits leaves every one of them.
+_TRAIN_DIGESTS = """\
+conv+virtual_node+sum 26bfcf0373e27d89f263478c34b80071c4e7f65d05b64f5b5bbdbfcdc9b99e69
+attention+virtual_node+mean 41f43c54f5c297ce0458f29d509e9dc8bd4bbba4a04cefbfbc3511a6702a38e2
+s4+none+mean+constant b266834008672db881514426c996c74ec91a5d93847b0c137e5d7ed863c042d2
+selective+transformer+sum fd761972e6f592d4eb794402fb12510fa2617d3dc1937611cbb1c83301d40a50
+conv+transformer+mean+constant 60e417849916bad5ef0257dbf74e85443a5945c06d102ce079b142ec6d52c0ba
+s4 0e022dc7d3f37f0c17ba99c2882b1dfecdac1344645811d16a0b1b2abbff1839
+selective 3c3fb359e36528ee76c9907a6b64ed57ac655b0ff83f581e27c806d410772ea8
+bidirectional selective e495b7d34cc38064d27e7e8f136e8a5b95bc14d2c7b96b4fe1f6eed0a41a8e13
+"""
+
+
+def test_train_digests_script_prints_the_pinned_lines():
+    """The script sets its own BLAS thread count, so it runs in a fresh process."""
+    script = Path(__file__).resolve().parent.parent / "tools" / "train_digests.py"
+    run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == _TRAIN_DIGESTS

@@ -343,11 +343,8 @@ def _assemble(n_nodes: int, keys: np.ndarray, directed: bool = False,
     if not directed:
         keys = np.concatenate([keys, keys % n_nodes * n_nodes + keys // n_nodes])
         edge_features = np.concatenate([edge_features, edge_features])
-    if edge_features.shape[1]:
-        order = np.argsort(keys)
-        keys, edge_features = keys[order], edge_features[order]
-    else:
-        keys = np.sort(keys)
+    order = np.argsort(keys)
+    keys, edge_features = keys[order], edge_features[order]
     src = keys // n_nodes
     row_offsets = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n_nodes), out=row_offsets[1:])
@@ -643,7 +640,10 @@ def _node_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The node pairs ``i < j`` of ``n`` nodes in row-major order, as a (2, P)
     array and as their ascending keys ``i * n + j``."""
     pairs = np.stack(np.triu_indices(n, k=1))
-    return pairs, pairs[0] * n + pairs[1]
+    keys = pairs[0] * n + pairs[1]
+    pairs.setflags(write=False)  # cached and shared by every draw of size n
+    keys.setflags(write=False)
+    return pairs, keys
 
 
 # The pairs of the 16 sizes last drawn at up to 64 nodes (at most 2016 pairs,

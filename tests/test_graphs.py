@@ -478,6 +478,18 @@ def test_erdos_renyi_builds_no_candidate_with_an_isolated_node(monkeypatch):
     assert (g.degrees() > 0).all()
 
 
+def test_cached_node_pairs_cannot_be_written():
+    """Every draw of a size shares its cached pairs, so a write must raise
+    rather than change the graphs drawn after it."""
+    import neuralwalker.graphs as graphs_mod
+
+    erdos_renyi_graph(6, 0.5, seed=0)
+    pairs, keys = graphs_mod._small_node_pairs(6)
+    for a in (pairs, keys):
+        with pytest.raises(ValueError, match="read-only"):
+            a[..., 0] = 0
+
+
 def test_random_regular_degree_and_connectivity():
     for seed in range(5):
         g = random_regular_graph(20, 4, seed=seed)
